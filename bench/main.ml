@@ -448,7 +448,7 @@ let e6 () =
               List.iter
                 (fun (u, v) ->
                   incr checked;
-                  if Weights.weight cfg ~u ~v <> Weights.count_reference cfg ~u ~v
+                  if Weights.weight cfg ~u ~v <> Faces.weight_reference cfg ~u ~v
                   then incr bad)
                 (Config.fundamental_edges cfg))
             [ 1; 2; 3; 4 ];
@@ -1923,11 +1923,47 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
+let usage =
+  "usage: main [--jobs N] [--short] [--out PATH] [EXPERIMENT]\n\
+   EXPERIMENT: e1..e19, f1..f3 or micro (default: all).  --short shrinks\n\
+   instance sizes for the CI smoke run; --out overrides the JSON dump path\n\
+   (default BENCH_8.json)."
+
+(* The run order; names are checked against it before anything runs or is
+   written, so a typo cannot overwrite the JSON dump with an empty one. *)
+let experiments ~jobs ~short =
+  [
+    ("e1", e1);
+    ("e2", e2);
+    ("f1", f1);
+    ("e3", e3);
+    ("e4", e4);
+    ("e5", e5);
+    ("e6", e6);
+    ("e7", e7);
+    ("e8", e8);
+    ("e9", e9);
+    ("e10", e10);
+    ("f2", f2);
+    ("e11", e11 ~jobs ~short);
+    ("e12", e12 ~short);
+    ("e13", e13 ~short);
+    ("e14", e14 ~jobs);
+    ("e15", e15 ~short);
+    ("e16", e16 ~short);
+    ("e17", e17 ~jobs ~short);
+    ("e18", e18 ~short);
+    ("e19", e19 ~jobs ~short);
+    ("f3", f3 ~short);
+    ("micro", micro);
+  ]
+
 let () =
-  (* usage: main [--jobs N] [--short] [--out PATH] [experiment]
-     (experiment: e1..e19, f1..f3, micro; default all).  --short shrinks
-     instance sizes for the CI smoke run; --out overrides the JSON dump
-     path (default BENCH_8.json). *)
+  let usage_error msg =
+    prerr_endline msg;
+    prerr_endline usage;
+    exit 2
+  in
   let jobs = ref (Pool.default_jobs ()) in
   let short = ref false in
   let out = ref "BENCH_8.json" in
@@ -1937,19 +1973,32 @@ let () =
   while !i < argc do
     (match Sys.argv.(!i) with
     | "--jobs" when !i + 1 < argc ->
-      jobs := max 1 (int_of_string Sys.argv.(!i + 1));
+      (match int_of_string_opt Sys.argv.(!i + 1) with
+      | Some j -> jobs := max 1 j
+      | None -> usage_error ("--jobs expects an integer, got " ^ Sys.argv.(!i + 1)));
       incr i
-    | "--jobs" -> invalid_arg "--jobs needs an argument"
     | "--short" -> short := true
     | "--out" when !i + 1 < argc ->
       out := Sys.argv.(!i + 1);
       incr i
-    | "--out" -> invalid_arg "--out needs an argument"
+    | "--help" | "-h" ->
+      print_endline usage;
+      exit 0
+    | ("--jobs" | "--out") as flag -> usage_error (flag ^ " needs an argument")
+    | flag when String.starts_with ~prefix:"-" flag ->
+      usage_error ("unknown option " ^ flag)
+    | name when !only <> None -> usage_error ("more than one experiment: " ^ name)
     | name -> only := Some name);
     incr i
   done;
+  let table = experiments ~jobs:!jobs ~short:!short in
+  Option.iter
+    (fun name ->
+      if not (List.mem_assoc name table) then
+        usage_error ("unknown experiment " ^ name))
+    !only;
   let timings = ref [] in
-  let run name f =
+  let run (name, f) =
     match !only with
     | Some o when o <> name -> ()
     | _ ->
@@ -1963,28 +2012,6 @@ let () =
   in
   pf "Deterministic Distributed DFS via Cycle Separators — experiment harness\n";
   pf "(jobs = %d)\n" !jobs;
-  run "e1" e1;
-  run "e2" e2;
-  run "f1" f1;
-  run "e3" e3;
-  run "e4" e4;
-  run "e5" e5;
-  run "e6" e6;
-  run "e7" e7;
-  run "e8" e8;
-  run "e9" e9;
-  run "e10" e10;
-  run "f2" f2;
-  run "e11" (e11 ~jobs:!jobs ~short:!short);
-  run "e12" (e12 ~short:!short);
-  run "e13" (e13 ~short:!short);
-  run "e14" (e14 ~jobs:!jobs);
-  run "e15" (e15 ~short:!short);
-  run "e16" (e16 ~short:!short);
-  run "e17" (e17 ~jobs:!jobs ~short:!short);
-  run "e18" (e18 ~short:!short);
-  run "e19" (e19 ~jobs:!jobs ~short:!short);
-  run "f3" (f3 ~short:!short);
-  run "micro" micro;
+  List.iter run table;
   write_json ~path:!out ~jobs:!jobs ~timings:(List.rev !timings);
   pf "\nAll experiments complete.\n"

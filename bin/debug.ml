@@ -90,7 +90,7 @@ let check_conventions ~name emb spanning =
       done;
       (* Weight formula vs its proven meaning. *)
       let w_formula = Weights.weight cfg ~u ~v in
-      let w_ref = Weights.count_reference cfg ~u ~v in
+      let w_ref = Faces.weight_reference cfg ~u ~v in
       if w_formula <> w_ref then begin
         incr mism_weight;
         if !mism_weight <= 6 then

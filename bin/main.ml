@@ -147,23 +147,52 @@ let emit_trace ~trace ~chrome ~metrics tracer =
         Printf.printf "metrics json       : %s\n" path)
       metrics
 
+(* An edge list is untrusted input: every defect (missing file, malformed
+   line, bad id, self-loop, no edges) exits 2 with one [file:line: reason]
+   line on stderr before any graph is built.  Ids are dense and 0-based, so
+   an id of at least 2m names a vertex no edge touches; rejecting it also
+   keeps a two-line file from allocating a graph of 10^11 vertices. *)
 let load_edge_list path =
-  let ic = open_in path in
-  let edges = ref [] and max_v = ref (-1) in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 2)
+      fmt
+  in
+  let ic = try open_in path with Sys_error e -> fail "%s" e in
+  let edges = ref [] and lineno = ref 0 in
   (try
      while true do
        let line = String.trim (input_line ic) in
+       incr lineno;
        if line <> "" && line.[0] <> '#' then begin
+         let id s =
+           match int_of_string_opt s with
+           | Some x when x >= 0 -> x
+           | Some x -> fail "%s:%d: negative vertex id %d" path !lineno x
+           | None -> fail "%s:%d: not a vertex id: %S" path !lineno s
+         in
          match String.split_on_char ' ' line |> List.filter (( <> ) "") with
          | [ a; b ] ->
-           let u = int_of_string a and v = int_of_string b in
-           edges := (u, v) :: !edges;
-           max_v := max !max_v (max u v)
-         | _ -> failwith ("bad edge line: " ^ line)
+           let u = id a and v = id b in
+           if u = v then fail "%s:%d: self-loop at vertex %d" path !lineno u;
+           edges := (!lineno, u, v) :: !edges
+         | _ -> fail "%s:%d: expected two vertex ids, got %S" path !lineno line
        end
      done
    with End_of_file -> close_in ic);
-  Graph.of_edges ~n:(!max_v + 1) !edges
+  let m = List.length !edges in
+  if m = 0 then fail "%s: no edges" path;
+  List.iter
+    (fun (l, u, v) ->
+      let x = max u v in
+      if x >= 2 * m then
+        fail "%s:%d: vertex id %d out of range (%d edges name at most %d vertices)"
+          path l x m (2 * m))
+    (List.rev !edges);
+  let max_v = List.fold_left (fun a (_, u, v) -> max a (max u v)) 0 !edges in
+  Graph.of_edges ~n:(max_v + 1) (List.map (fun (_, u, v) -> (u, v)) !edges)
 
 let instance_of ~family ~n ~seed ~edges =
   match edges with

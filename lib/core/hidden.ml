@@ -11,26 +11,29 @@ open Repro_tree
    Definition 4, condition 2 is the negation of this. *)
 let subtree_part_in_face cfg ~e:(u, v) ~f:(a, b) =
   let tree = Config.tree cfg in
-  let case = Faces.classify cfg ~u ~v in
   let member z =
     Faces.on_border cfg ~u:a ~v:b z || Faces.is_inside cfg ~u:a ~v:b z
   in
-  Faces.inside_children cfg ~u ~v ~case u
-  |> List.for_all (fun c ->
-         (* All nodes of the subtree of c. *)
-         let lo = Rooted.pi_left tree c in
-         let ok = ref true in
-         for i = lo to lo + Rooted.size tree c - 1 do
-           if not (member (Rooted.node_at_left tree i)) then ok := false
-         done;
-         !ok)
+  Faces.fold_inside_children (Faces.face cfg ~u ~v) u
+    (fun all c ->
+      all
+      &&
+      (* All nodes of the subtree of c. *)
+      let lo = Rooted.pi_left tree c in
+      let ok = ref true in
+      for i = lo to lo + Rooted.size tree c - 1 do
+        if not (member (Rooted.node_at_left tree i)) then ok := false
+      done;
+      !ok)
+    true
 
 (* Real fundamental edges hiding node [t] in F_e (Definition 4). *)
 let hiding_edges cfg ~e:(u, v) ~t =
+  let face = Faces.face cfg ~u ~v in
   Config.fundamental_edges cfg
   |> List.filter (fun (a, b) ->
          (a, b) <> (u, v)
-         && Faces.edge_in_face cfg ~e:(u, v) ~f:(a, b)
+         && Faces.contains_edge face (a, b)
          && Faces.is_inside cfg ~u:a ~v:b t
          &&
          if a <> u && b <> u then true (* condition 1 *)

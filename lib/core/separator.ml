@@ -23,10 +23,10 @@
    the slots of ONE running inside/outside weight aggregation on the
    shared tree handle, instead of a fresh mark-path + aggregation per
    candidate (the Lemma 18/19 balance-check idiom; DESIGN.md deviation 2).
-   Host-side the handle carries one scratch removal array reused by every
-   probe.  The phase and the number of candidates tried are reported so
-   the experiments can show the paper's first-choice candidate almost
-   always wins. *)
+   Host-side the handle carries one scratch mask reused by every probe
+   and every sweep region.  The phase and the number of candidates tried
+   are reported so the experiments can show the paper's first-choice
+   candidate almost always wins. *)
 
 open Repro_tree
 open Repro_congest
@@ -53,12 +53,21 @@ let tracer rounds = Option.bind rounds Rounds.tracer
 let span rounds name f = Trace.within (tracer rounds) name f
 
 (* The shared verification handle of one [find]: the Phase-1 tree is held
-   by the config, the scratch removal array is reused by every probe, and
+   by the config, the scratch mask (all false between uses) serves every
+   probe's removal set and every sweep's region, and
    [batch] tracks which phase group's slot-batched balance aggregation has
    already been charged. *)
 type verifier = { scratch : bool array; mutable batch : string option }
 
 let verifier_create n = { scratch = Array.make n false; batch = None }
+
+(* Run [f] on the scratch mask with the members [mark] reports set, and
+   clear it again before any probe reuses it. *)
+let with_region ver mark f =
+  mark (fun z -> ver.scratch.(z) <- true);
+  let r = f ver.scratch in
+  Array.fill ver.scratch 0 (Array.length ver.scratch) false;
+  r
 
 (* Try the T-path between [a] and [b].  The first probe of a phase group
    charges the group's single k-slot balance aggregation (the running
@@ -123,25 +132,33 @@ let tree_phase ?rounds cfg ver tried =
 (* Phase 4 sweep: monotone counter over a region's leaves.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Order the region by [pi]; return, for each T-leaf in the region (in
-   sweep order), the counter value at it.  [counter] distinguishes the two
-   sweeps of the algorithm:
+(* Sweep the region (a membership mask) in a tree DFS order, given by its
+   inverse [node_at], ascending or descending; return, for each T-leaf in
+   the region (in sweep order), the counter value at it.  Scanning the
+   order and skipping non-members visits the region exactly as sorting it
+   by position would, in O(n) and without a comparison sort.  [counter]
+   distinguishes the two sweeps of the algorithm:
    - [`Prefix]: number of region nodes up to the leaf — the augmented-face
      weight proxy for a face anchored at one of its endpoints (Phase 4);
    - [`Global]: the leaf's own DFS position — the enclosed-side size of a
      root-anchored path (Phase 5 / Lemma 8's virtual face from the root). *)
-let region_leaves_with_counter cfg ~pi ~counter region =
+let region_leaves_with_counter cfg ~node_at ~order ~counter in_region =
   let tree = Config.tree cfg in
-  let arr = Array.of_list region in
-  Array.sort (fun a b -> compare (pi a) (pi b)) arr;
-  let acc = ref [] in
-  Array.iteri
-    (fun i z ->
+  let n = Config.n cfg in
+  let acc = ref [] and seen = ref 0 in
+  let visit i =
+    let z = node_at i in
+    if in_region.(z) then begin
+      incr seen;
       if Rooted.is_leaf tree z then begin
-        let c = match counter with `Prefix -> i + 1 | `Global -> pi z + 1 in
+        let c = match counter with `Prefix -> !seen | `Global -> i + 1 in
         acc := (z, c) :: !acc
-      end)
-    arr;
+      end
+    end
+  in
+  (match order with
+  | `Asc -> for i = 0 to n - 1 do visit i done
+  | `Desc -> for i = n - 1 downto 0 do visit i done);
   List.rev !acc
 
 (* Candidate leaves: the one at which the counter first reaches n/3, its
@@ -191,16 +208,19 @@ let crossing_leaves ~n leaves_with_counter =
    contained in (or contain) an edge of equal weight: it suffices to resolve
    containment inside the tied tier. *)
 
-let edge_contained cfg ~e ~container:(a, b) =
-  Faces.edge_in_face cfg ~e:(a, b) ~f:e
+(* Each tier edge's face invariants are computed once and shared by every
+   containment test that has it as the container. *)
+let with_faces cfg tier =
+  List.map (fun ((u, v) as e) -> (e, Faces.face cfg ~u ~v)) tier
 
 (* First edge of [tier] (priority order) not contained in any other tier
    edge. *)
 let pick_not_contained cfg tier =
+  let faces = with_faces cfg tier in
   let rec go = function
     | [] -> List.hd tier
     | e :: rest ->
-      if List.exists (fun f -> f <> e && edge_contained cfg ~e ~container:f) tier
+      if List.exists (fun (f, face) -> f <> e && Faces.contains_edge face e) faces
       then go rest
       else e
   in
@@ -210,20 +230,20 @@ let pick_not_contained cfg tier =
 let pick_not_contains cfg tier =
   let rec go = function
     | [] -> List.hd tier
-    | e :: rest ->
-      if List.exists (fun f -> f <> e && edge_contained cfg ~e:f ~container:e) tier
+    | (e, face) :: rest ->
+      if List.exists (fun f -> f <> e && Faces.contains_edge face f) tier
       then go rest
       else e
   in
-  go tier
+  go (with_faces cfg tier)
 
 let weight_tier ~best weights =
   List.filter_map (fun (e, w) -> if w = best then Some e else None) weights
   |> List.sort compare
 
-let pi_for_case cfg = function
-  | Faces.Anc_left -> Rooted.pi_right (Config.tree cfg)
-  | Faces.Unrelated | Faces.Anc_right -> Rooted.pi_left (Config.tree cfg)
+let node_at_for_case cfg = function
+  | Faces.Anc_left -> Rooted.node_at_right (Config.tree cfg)
+  | Faces.Unrelated | Faces.Anc_right -> Rooted.node_at_left (Config.tree cfg)
 
 (* Phase 4 on a concrete heavy face F_e: a sweep anchored at each endpoint
    (the paper augments from u; sweeping from v as well covers embeddings
@@ -231,18 +251,21 @@ let pi_for_case cfg = function
    mirrored), then the hidden-edge fallback, then the border itself. *)
 let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
   let n = Config.n cfg in
-  let case = Faces.classify cfg ~u ~v in
+  let face = Faces.face cfg ~u ~v in
   charge_opt rounds (fun r -> Rounds.charge_detect_face r);
-  let interior = Faces.interior_reference cfg ~u ~v in
   charge_opt rounds (fun r ->
       Rounds.charge_aggregate r "full-augmentation[Phase4]");
-  let pi = pi_for_case cfg case in
-  let sweep ~anchor ~order =
-    let key = match order with `Asc -> pi | `Desc -> fun z -> -pi z in
-    let leaves =
-      region_leaves_with_counter cfg ~pi:key ~counter:`Prefix interior
-    in
-    let hits = crossing_leaves ~n leaves in
+  let node_at = node_at_for_case cfg (Faces.face_case face) in
+  let hits_asc, hits_desc =
+    with_region ver (Faces.iter_interior face) (fun interior ->
+        let hits order =
+          crossing_leaves ~n
+            (region_leaves_with_counter cfg ~node_at ~order ~counter:`Prefix
+               interior)
+        in
+        (hits `Asc, hits `Desc))
+  in
+  let sweep ~anchor hits =
     let paths =
       (* Sweep hits are balance-verified; a closing edge is reported only
          with the paper's own certificate: the hit is anchored at u and not
@@ -283,13 +306,13 @@ let heavy_face_candidates ?rounds cfg ver tried ~u ~v =
     paths @ hidden
   in
   first_some
-    (sweep ~anchor:u ~order:`Asc
+    (sweep ~anchor:u hits_asc
     @ [
         (fun () ->
           try_path ?rounds cfg ver tried ~batch:"phase4" ~phase:"4-border"
             ~closing:(Some (u, v)) (u, v));
       ]
-    @ sweep ~anchor:v ~order:`Desc)
+    @ sweep ~anchor:v hits_desc)
 
 (* Phase-5 heavy-outside sweep: the region outside F_e on one side, swept
    from the tree root (simulating the virtual face F_{root,u'} of Lemma 8). *)
@@ -298,9 +321,11 @@ let outside_sweep_candidates ?rounds cfg ver tried ~label region =
   let root = Rooted.root (Config.tree cfg) in
   charge_opt rounds (fun r -> Rounds.charge_aggregate r "outside-sweep[Phase5]");
   let leaves =
-    region_leaves_with_counter cfg
-      ~pi:(Rooted.pi_left (Config.tree cfg))
-      ~counter:`Global region
+    with_region ver
+      (fun mark -> List.iter mark region)
+      (region_leaves_with_counter cfg
+         ~node_at:(Rooted.node_at_left (Config.tree cfg))
+         ~order:`Asc ~counter:`Global)
   in
   let hits = crossing_leaves ~n leaves in
   (* Root-anchored sweep hits carry no certified closing edge. *)

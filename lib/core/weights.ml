@@ -10,24 +10,26 @@
      from LCA(u,v) to v (w excluded, v included);
    - u an ancestor of v: exactly the interior of F_e.
 
-   The test suite checks the formula against [count_reference], which counts
-   those sets from the exact face-traversal interior. *)
+   The test suite checks the formula against [Faces.weight_reference], which
+   counts those sets from the exact face-traversal interior. *)
 
 open Repro_tree
 
 (* Sum of subtree sizes of the children of [x] hanging inside F_e.  This is
    the paper's p_{F_e}(x): the number of nodes of F_e in the strict subtree
    of x. *)
-let p_term cfg ~u ~v ~case x =
-  Faces.inside_children cfg ~u ~v ~case x
-  |> List.fold_left (fun acc c -> acc + Rooted.size (Config.tree cfg) c) 0
+let p_term f x =
+  let tree = Config.tree (Faces.config f) in
+  Faces.fold_inside_children f x (fun acc c -> acc + Rooted.size tree c) 0
 
+(* The face's case, LCA and path child are computed once and shared by
+   both p-terms and the formula. *)
 let weight cfg ~u ~v =
   let tree = Config.tree cfg in
-  let case = Faces.classify cfg ~u ~v in
-  let pu = p_term cfg ~u ~v ~case u in
-  let pv = p_term cfg ~u ~v ~case v in
-  match case with
+  let f = Faces.face cfg ~u ~v in
+  let pu = p_term f u in
+  let pv = p_term f v in
+  match Faces.face_case f with
   | Faces.Unrelated ->
     (* Definition 2, case 1. *)
     pu + pv + Rooted.pi_left tree v
@@ -38,27 +40,15 @@ let weight cfg ~u ~v =
        leaves u clockwise-after the path child pairs with the LEFT order —
        this follows the proof of Lemma 4 (the labels in Definition 2 itself
        have the two orders swapped; the proof is the consistent version). *)
-    let z = Faces.child_toward cfg u v in
+    let z = Faces.branch_v f in
     pu + pv
     + (Rooted.pi_left tree v - Rooted.pi_left tree z)
     - (Rooted.depth tree v - Rooted.depth tree z)
   | Faces.Anc_left ->
-    let z = Faces.child_toward cfg u v in
+    let z = Faces.branch_v f in
     pu + pv
     + (Rooted.pi_right tree v - Rooted.pi_right tree z)
     - (Rooted.depth tree v - Rooted.depth tree z)
-
-(* The set Definition 2 is proven to count (Lemmas 3 and 4), measured from
-   the exact interior: ground truth for the formula. *)
-let count_reference cfg ~u ~v =
-  let tree = Config.tree cfg in
-  let interior = Faces.interior_reference cfg ~u ~v in
-  match Faces.classify cfg ~u ~v with
-  | Faces.Anc_left | Faces.Anc_right -> List.length interior
-  | Faces.Unrelated ->
-    (* Interior plus the border path from w (exclusive) to v (inclusive). *)
-    let w = Rooted.lca tree u v in
-    List.length interior + (Rooted.depth tree v - Rooted.depth tree w)
 
 (* Weights of all real fundamental edges (Phase-1 precomputation,
    WEIGHTS-PROBLEM / Lemma 12). *)
@@ -70,13 +60,14 @@ let all_weights cfg =
 (* ------------------------------------------------------------------ *)
 
 (* Nodes outside F_e split into F_l (visited before the face in the LEFT
-   order, or hanging outside below u) and F_r (visited after).  Computed
-   from the exact interior; returns (f_left, f_right) as node lists. *)
+   order, or hanging outside below u) and F_r (visited after).  The face is
+   marked with the local rule (Remark 1); returns (f_left, f_right) as node
+   lists. *)
 let outside_split cfg ~u ~v =
   let tree = Config.tree cfg in
   let n = Config.n cfg in
   let in_face = Array.make n false in
-  List.iter (fun x -> in_face.(x) <- true) (Faces.interior_reference cfg ~u ~v);
+  Faces.iter_interior (Faces.face cfg ~u ~v) (fun x -> in_face.(x) <- true);
   List.iter (fun x -> in_face.(x) <- true) (Faces.border cfg ~u ~v);
   let fl = ref [] and fr = ref [] in
   for z = 0 to n - 1 do

@@ -4,21 +4,17 @@
     DFS orders; this implementation follows the (consistent) convention of
     the Lemma 4 proof, validated against the exact reference. *)
 
-val p_term :
-  Config.t -> u:int -> v:int -> case:Faces.edge_case -> int -> int
+val p_term : Faces.face -> int -> int
 (** p_{F_e}(x): number of nodes of F_e in the strict subtree of border node
     [x] — locally computable from the rotation. *)
 
 val weight : Config.t -> u:int -> v:int -> int
 (** Definition 2 for the real fundamental edge (u, v) (normalized). *)
 
-val count_reference : Config.t -> u:int -> v:int -> int
-(** What Lemmas 3/4 prove [weight] counts, measured from the exact
-    face-traversal interior (ground truth for tests and experiment E6). *)
-
 val all_weights : Config.t -> ((int * int) * int) list
 (** Weights of every real fundamental edge (Lemma 12). *)
 
 val outside_split : Config.t -> u:int -> v:int -> int list * int list
 (** The sets F_l and F_r of Lemma 8: nodes outside F_e, split by LEFT
-    position relative to the face. *)
+    position relative to the face.  The face is enumerated with the local
+    rule ({!Faces.iter_interior}). *)

@@ -99,3 +99,10 @@ let connected_parts g ~parts rng =
     if part.(v) >= 0 then members.(part.(v)) <- v :: members.(part.(v))
   done;
   Array.to_list members |> List.filter (fun m -> m <> [])
+
+let part_configs ?spanning emb ~parts rng =
+  connected_parts (Repro_embedding.Embedded.graph emb) ~parts rng
+  |> List.map (fun members ->
+         let members = Array.of_list members in
+         let root = Rng.pick rng members in
+         Repro_core.Config.of_part ?spanning ~members ~root emb)

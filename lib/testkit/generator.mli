@@ -51,3 +51,13 @@ val disconnected_union : seed:int -> n:int -> Repro_embedding.Embedded.t
 val connected_parts : Graph.t -> parts:int -> int list list t
 (** Random partition of a connected graph into at most [parts] connected,
     non-empty parts (multi-source BFS regions grown from random seeds). *)
+
+val part_configs :
+  ?spanning:Spanning.kind ->
+  Repro_embedding.Embedded.t ->
+  parts:int ->
+  Repro_core.Config.t list t
+(** One [Config.of_part] per part of {!connected_parts}, rooted at a random
+    member: interior roots and no virtual-root direction, the
+    configurations [Separator.find_partition] and [Dfs.run] hand to
+    [Separator.find]. *)

@@ -79,32 +79,50 @@ let test_interior_disjoint_from_border () =
     (Config.fundamental_edges cfg)
 
 (* The central consistency property: local characterization = exact
-   reference, across families and spanning trees. *)
+   reference, across families and spanning trees — on whole embeddings
+   (root on the outer face, virtual-root direction set) and on random
+   connected parts with interior roots and no virtual-root direction, the
+   configurations [Separator.find] receives from [find_partition] and
+   [Dfs.run]. *)
 let prop_local_interior_matches_reference =
-  QCheck.Test.make ~name:"local interior = face-traversal reference" ~count:60
-    QCheck.(triple (int_range 0 4) (int_range 8 60) (int_bound 10000))
+  QCheck.Test.make ~name:"local interior = face-traversal reference" ~count:120
+    QCheck.(triple (int_range 0 8) (int_range 8 60) (int_bound 10000))
     (fun (which, n, seed) ->
-      let emb =
-        match which with
-        | 0 -> Gen.grid_diag ~seed ~rows:(max 2 (n / 8)) ~cols:8 ()
-        | 1 -> Gen.stacked_triangulation ~seed ~n ()
-        | 2 -> Gen.thin ~seed ~keep:0.5 (Gen.stacked_triangulation ~seed ~n ())
-        | 3 -> Gen.wheel (max 4 n)
-        | _ -> Gen.fan (max 3 n)
-      in
       let spanning =
         match seed mod 3 with
         | 0 -> Spanning.Bfs
         | 1 -> Spanning.Dfs
         | _ -> Spanning.Random seed
       in
-      let cfg = Config.of_embedded ~spanning emb in
+      let cfgs =
+        if which >= 5 then begin
+          let family = List.nth [ "grid"; "tgrid"; "stacked"; "thinned" ] (which - 5) in
+          Repro_testkit.Generator.part_configs ~spanning
+            (Gen.by_family ~seed family ~n:(4 * n))
+            ~parts:(1 + (seed mod 3))
+            (Repro_util.Rng.create seed)
+        end
+        else begin
+          let emb =
+            match which with
+            | 0 -> Gen.grid_diag ~seed ~rows:(max 2 (n / 8)) ~cols:8 ()
+            | 1 -> Gen.stacked_triangulation ~seed ~n ()
+            | 2 -> Gen.thin ~seed ~keep:0.5 (Gen.stacked_triangulation ~seed ~n ())
+            | 3 -> Gen.wheel (max 4 n)
+            | _ -> Gen.fan (max 3 n)
+          in
+          [ Config.of_embedded ~spanning emb ]
+        end
+      in
       List.for_all
-        (fun (u, v) ->
-          let a = List.sort compare (Faces.interior cfg ~u ~v) in
-          let b = List.sort compare (Faces.interior_reference cfg ~u ~v) in
-          a = b)
-        (Config.fundamental_edges cfg))
+        (fun cfg ->
+          List.for_all
+            (fun (u, v) ->
+              let a = List.sort compare (Faces.interior cfg ~u ~v) in
+              let b = List.sort compare (Faces.interior_reference cfg ~u ~v) in
+              a = b)
+            (Config.fundamental_edges cfg))
+        cfgs)
 
 let prop_is_inside_matches_reference =
   QCheck.Test.make ~name:"is_inside = reference membership" ~count:40

@@ -33,4 +33,5 @@ let () =
          Test_trace.suites;
          Test_screen.suites;
          Test_serve.suites;
+         Test_bench.suites;
        ])

@@ -2,7 +2,8 @@
    reason coverage for each rejection variant, witness minimality under
    the greedy shrinker, jobs=1 vs jobs=N bit-identity of screening
    ledgers/traces, typed rejections at every screened library entry, and
-   the CLI exit-code contract (sep/dfs/bdd exit 3 with the replay spec). *)
+   the CLI exit-code contract (sep/dfs/bdd exit 3 with the replay spec;
+   malformed --edges files exit 2 with a one-line file:line reason). *)
 
 open Repro_graph
 open Repro_embedding
@@ -209,8 +210,8 @@ let test_jobs_bit_identity () =
    test stanza depends on it.  Exit 3 is the screen-rejection code. *)
 let repro_exe = Filename.concat ".." (Filename.concat "bin" "main.exe")
 
-let cli cmdline =
-  Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" repro_exe cmdline)
+let cli_raw cmdline = Sys.command (Printf.sprintf "%s %s" repro_exe cmdline)
+let cli cmdline = cli_raw (cmdline ^ " >/dev/null 2>&1")
 
 let test_cli_exit_codes () =
   if not (Sys.file_exists repro_exe) then
@@ -224,6 +225,51 @@ let test_cli_exit_codes () =
       (cli "bdd --family xchords1 -n 64 --seed 2 --by-size --jobs 1");
     Alcotest.(check int) "sep accepts clean input" 0
       (cli "sep --family grid -n 64 --seed 2")
+  end
+
+(* A hostile edge-list file never reaches the library: the CLI exits 2
+   with exactly one [file:line: reason] line on stderr. *)
+let test_cli_hostile_edge_lists () =
+  if not (Sys.file_exists repro_exe) then Alcotest.skip ()
+  else begin
+    let run path =
+      let err = Filename.temp_file "repro" ".err" in
+      let code =
+        cli_raw
+          (Printf.sprintf "sep --edges %s >/dev/null 2>%s" (Filename.quote path)
+             (Filename.quote err))
+      in
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      Sys.remove err;
+      (code, msg)
+    in
+    let expect name path ~where (code, msg) =
+      Alcotest.(check int) (name ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one line at %s%s, got %S" name path where msg)
+        true
+        (String.starts_with ~prefix:(path ^ where) msg
+        && String.index_opt msg '\n' = Some (String.length msg - 1))
+    in
+    List.iter
+      (fun (name, contents, where) ->
+        let path = Filename.temp_file "edges" ".txt" in
+        Out_channel.with_open_text path (fun oc -> output_string oc contents);
+        let result = run path in
+        Sys.remove path;
+        expect name path ~where result)
+      [
+        ("self-loop", "0 1\n1 1\n", ":2: ");
+        ("malformed line", "0 1\n# comment\nfoo\n", ":3: ");
+        ("three ids", "0 1 2\n", ":1: ");
+        ("not an id", "0 x\n", ":1: ");
+        ("negative id", "0 1\n1 -1\n", ":2: ");
+        ("out-of-range id", "0 1\n1 99999999999\n", ":2: ");
+        ("no edges", "# nothing\n", ": ");
+      ];
+    let missing = Filename.temp_file "edges" ".txt" in
+    Sys.remove missing;
+    expect "missing file" missing ~where:": " (run missing)
   end
 
 let suites =
@@ -243,4 +289,6 @@ let suites =
         `Quick test_jobs_bit_identity;
       Alcotest.test_case "CLI exit codes (sep/dfs/bdd reject with 3)" `Quick
         test_cli_exit_codes;
+      Alcotest.test_case "CLI --edges rejects hostile files with 2" `Quick
+        test_cli_hostile_edge_lists;
     ]

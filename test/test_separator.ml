@@ -194,6 +194,101 @@ let prop_phase3_weight_in_range_never_fails =
       let r = Separator.find cfg in
       if r.Separator.phase = "3-face" then r.Separator.candidates_tried = 1 else true)
 
+(* --- pinned corpus ----------------------------------------------------- *)
+
+(* Host-side rewrites of [find] must not change what it returns.  Each
+   group hashes the separator, closing edge, phase and candidate count of
+   every config in it: whole embeddings under BFS/DFS/random trees, and
+   random connected parts with interior roots and no virtual-root
+   direction, as [find_partition] and [Dfs.run] build them. *)
+let corpus_groups () =
+  let families = [ "grid"; "tgrid"; "stacked"; "thinned" ] in
+  let spannings seed = [ Spanning.Bfs; Spanning.Dfs; Spanning.Random seed ] in
+  let instances family =
+    List.concat_map
+      (fun n -> List.map (fun seed -> Gen.by_family ~seed family ~n) [ 1; 2; 3 ])
+      [ 150; 400 ]
+  in
+  List.concat_map
+    (fun family ->
+      let whole =
+        List.concat_map
+          (fun emb ->
+            List.map (fun spanning -> Config.of_embedded ~spanning emb) (spannings 7))
+          (instances family)
+      in
+      let parts =
+        List.concat
+          (List.mapi
+             (fun i emb ->
+               List.concat_map
+                 (fun spanning ->
+                   Repro_testkit.Generator.part_configs ~spanning emb ~parts:3
+                     (Repro_util.Rng.create (100 + i)))
+                 (spannings i))
+             (instances family))
+      in
+      [ (family ^ "/whole", whole); (family ^ "/parts", parts) ])
+    families
+  @ [
+      (* Parts whose winning candidate comes from Phase 4's mirrored sweep
+         anchored at v, which the groups above never reach (found by a
+         search over part configs). *)
+      ( "grid/mirrored-sweep",
+        List.map
+          (fun (n, seed, rng, k) ->
+            let emb = Gen.by_family ~seed "grid" ~n in
+            List.nth
+              (Repro_testkit.Generator.part_configs ~spanning:(Spanning.Random seed)
+                 emb ~parts:3 (Repro_util.Rng.create rng))
+              k)
+          [ (150, 8, 58, 2); (400, 4, 30, 1); (900, 3, 23, 0) ] );
+    ]
+
+let fingerprint cfg =
+  let r = Separator.find cfg in
+  let ends =
+    match r.Separator.endpoints with
+    | Some (a, b) -> Printf.sprintf "%d-%d" a b
+    | None -> "-"
+  in
+  ( r.Separator.phase,
+    Printf.sprintf "%s/%d/%s/%s" r.Separator.phase r.Separator.candidates_tried
+      ends
+      (String.concat "," (List.map string_of_int r.Separator.separator)) )
+
+let pinned_corpus =
+  [
+    ("grid/whole", "54299afdbe59ae903aace3f715bbee1b");
+    ("grid/parts", "b2e3c356a603c819382d08d8d38c1010");
+    ("tgrid/whole", "0bf7ce72a70b129593e48ad1c4e50b6b");
+    ("tgrid/parts", "a420c695e875b9066eb78eb061cf189f");
+    ("stacked/whole", "c1184a4ef606dc4b2864a08ebc75e452");
+    ("stacked/parts", "a9d2f43e16f18498927c77731e5f5b2f");
+    ("thinned/whole", "becb199a5d960035ce0d6ecb5f7a7cac");
+    ("thinned/parts", "1307e6a2a96befe80decdd57ef4b8c65");
+    ("grid/mirrored-sweep", "23c40cd47f33df8911ec26311cca40b2");
+  ]
+
+let test_pinned_corpus () =
+  let phases = Hashtbl.create 16 in
+  List.iter
+    (fun (name, cfgs) ->
+      let prints = List.map fingerprint cfgs in
+      List.iter (fun (p, _) -> Hashtbl.replace phases p ()) prints;
+      let hash = Digest.to_hex (Digest.string (String.concat ";" (List.map snd prints))) in
+      Alcotest.(check string)
+        (name ^ " results unchanged")
+        (List.assoc name pinned_corpus)
+        hash)
+    (corpus_groups ());
+  (* The corpus reaches both searches the host-side sweeps serve. *)
+  let has prefix =
+    Hashtbl.fold (fun p () acc -> acc || String.starts_with ~prefix p) phases false
+  in
+  Alcotest.(check bool) "corpus reaches Phase 4" true (has "4-");
+  Alcotest.(check bool) "corpus reaches Phase 5" true (has "5-")
+
 let suites =
   Repro_testkit.Suite.make __MODULE__
     [
@@ -210,6 +305,7 @@ let suites =
         Alcotest.test_case "shrink cycle to n/3" `Quick
           test_shrink_cycle_recovers_third;
         Alcotest.test_case "shrink singleton" `Quick test_shrink_singleton_stable;
+        Alcotest.test_case "pinned corpus results" `Quick test_pinned_corpus;
         qtest prop_certified_closing_edges;
         qtest prop_shrink_preserves_balance;
         qtest prop_separator_always_valid;

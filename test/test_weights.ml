@@ -10,7 +10,7 @@ let qtest = QCheck_alcotest.to_alcotest
 let weights_exact emb spanning =
   let cfg = Config.of_embedded ~spanning emb in
   List.for_all
-    (fun (u, v) -> Weights.weight cfg ~u ~v = Weights.count_reference cfg ~u ~v)
+    (fun (u, v) -> Weights.weight cfg ~u ~v = Faces.weight_reference cfg ~u ~v)
     (Config.fundamental_edges cfg)
 
 let test_weights_grid () =
@@ -116,7 +116,6 @@ let test_p_term_matches_subtree_count () =
   let tree = Config.tree cfg in
   List.iter
     (fun (u, v) ->
-      let case = Faces.classify cfg ~u ~v in
       let interior = Faces.interior_reference cfg ~u ~v in
       let count_in_subtree x =
         List.length
@@ -126,7 +125,7 @@ let test_p_term_matches_subtree_count () =
       Alcotest.(check int)
         (Printf.sprintf "p(v) e=(%d,%d)" u v)
         (count_in_subtree v)
-        (Weights.p_term cfg ~u ~v ~case v))
+        (Weights.p_term (Faces.face cfg ~u ~v) v))
     (Config.fundamental_edges cfg)
 
 let suites =
