@@ -1778,12 +1778,6 @@ let e19 ~jobs ~short () =
     Gen.by_family ~seed:W.canonical_seed W.canonical_family
       ~n:W.canonical_n
   in
-  let stats_request = Json.Obj [ ("op", Json.String "stats") ] in
-  let class_of = function
-    | W.Dfs _ -> "dfs"
-    | W.Separator _ -> "separator"
-    | W.Decompose _ -> "decompose"
-  in
   let replay pool =
     let engine = Engine.create ~pool emb in
     let latencies = Hashtbl.create 4 in
@@ -1797,13 +1791,13 @@ let e19 ~jobs ~short () =
       (fun r ->
         let w0 = Unix.gettimeofday () in
         let resp = Engine.handle engine (W.to_json r) in
-        record (class_of r) (Unix.gettimeofday () -. w0);
+        record (W.op_name r) (Unix.gettimeofday () -. w0);
         match Json.member "ok" resp with
         | Some (Json.Bool true) -> ()
         | _ -> failwith ("e19: request failed: " ^ Json.to_string resp))
       (W.canonical ());
     let wall = Unix.gettimeofday () -. t0 in
-    let stats = Engine.handle engine stats_request in
+    let stats = Engine.handle engine (W.to_json W.Stats) in
     (stats, latencies, wall)
   in
   let stats, latencies, wall = Pool.with_pool ~jobs replay in

@@ -15,7 +15,6 @@ open Repro_graph
 open Repro_embedding
 open Repro_tree
 open Repro_core
-module Instance = Repro_testkit.Instance
 
 let spec_arg =
   let doc =
@@ -26,26 +25,9 @@ let spec_arg =
   Arg.(
     value & opt_all string [] & info [ "spec" ] ~docv:"FAMILY:N:SEED:SPANNING" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for part-parallel batches.  Defaults to \
-     Domain.recommended_domain_count (), i.e. one per hardware thread; the \
-     flat graph store is shared read-only across domains.  Output is \
-     bit-identical for every value; 1 runs fully sequentially."
-  in
-  Arg.(
-    value
-    & opt int (Repro_util.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* (name, embedding, spanning) triples from explicit spec strings. *)
-let instances_of_specs specs =
-  List.map
-    (fun s ->
-      let spec = Instance.of_string s in
-      let inst = Instance.build spec in
-      (Instance.to_string spec, inst.Instance.emb, spec.Instance.spanning))
-    specs
+(* (name, embedding, spanning) triples from explicit spec strings, each
+   screened first: a hostile spec exits 3 with its verdict. *)
+let instances_of_specs specs = List.map Cli.screened_spec specs
 
 (* ------------------------------------------------------------------ *)
 (* conventions: local face characterization vs references              *)
@@ -158,7 +140,7 @@ let conventions_cmd =
   in
   let term = Term.(const run $ spec_arg) in
   Cmd.v
-    (Cmd.info "conventions"
+    (Cmd.info "conventions" ~exits:Cli.exits
        ~doc:
          "Cross-validate the local face characterization (Claims 1/3/4/5, \
           Remark 1) against the exact T+e face-traversal reference and, where \
@@ -169,34 +151,8 @@ let conventions_cmd =
 (* separator: all-family stress with phase histogram                    *)
 (* ------------------------------------------------------------------ *)
 
-let backend_arg =
-  let doc =
-    "Separator backend to stress (congest, lt-level, hn-cycle, random-sep, or any \
-     client-registered name)."
-  in
-  Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let resolve_backend name =
-  Repro_baseline.Backends.ensure ();
-  match Backend.lookup_opt name with
-  | Some b -> b
-  | None ->
-    Printf.eprintf "unknown backend %s (registered: %s)\n" name
-      (String.concat ", " (Backend.names ()));
-    exit 2
-
-let cutoff_arg =
-  let doc =
-    "Dispatch components with at most $(docv) vertices to the centralized \
-     fast-path backend (0 disables)."
-  in
-  Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
-
-let cutoff_of n = if n <= 0 then None else Some n
-
 let separator_cmd =
-  let run specs backend =
-    let b = resolve_backend backend in
+  let run specs b =
     let phases = Hashtbl.create 16 in
     let bump k =
       Hashtbl.replace phases k
@@ -215,16 +171,7 @@ let separator_cmd =
         bump r.Separator.phase;
         if r.Separator.candidates_tried > 1 then incr extra_candidates;
         let verdict = Check.check_separator cfg r.Separator.separator in
-        (* Centralized backends don't promise the tree-path shape — judge
-           them on balance alone. *)
-        let ok =
-          match b.Backend.kind with
-          | Backend.Distributed -> verdict.Check.valid
-          | Backend.Centralized ->
-            verdict.Check.size > 0
-            && verdict.Check.max_component <= verdict.Check.limit
-        in
-        if not ok then begin
+        if not (Backend.accepts b verdict) then begin
           incr failures;
           Printf.printf "INVALID %s [%s] phase=%s: %s\n" name
             (Spanning.kind_name spanning) r.Separator.phase
@@ -265,9 +212,9 @@ let separator_cmd =
     Hashtbl.iter (fun k v -> Printf.printf "  phase %-16s : %d\n" k v) phases;
     exit (if !failures = 0 then 0 else 1)
   in
-  let term = Term.(const run $ spec_arg $ backend_arg) in
+  let term = Term.(const run $ spec_arg $ Cli.backend) in
   Cmd.v
-    (Cmd.info "separator"
+    (Cmd.info "separator" ~exits:Cli.exits
        ~doc:
          "Stress the separator across families, sizes, seeds and spanning \
           kinds; validate every output and report the phase distribution")
@@ -278,9 +225,7 @@ let separator_cmd =
 (* ------------------------------------------------------------------ *)
 
 let dfs_cmd =
-  let run specs jobs backend cutoff =
-    let b = resolve_backend backend in
-    let cutoff = cutoff_of cutoff in
+  let run specs jobs b cutoff =
     Repro_util.Pool.with_pool ~jobs @@ fun pool ->
     let failures = ref 0 and total = ref 0 in
     let max_phases = ref 0 in
@@ -339,9 +284,10 @@ let dfs_cmd =
     Printf.printf "total=%d failures=%d max_phases=%d\n" !total !failures !max_phases;
     exit (if !failures = 0 then 0 else 1)
   in
-  let term = Term.(const run $ spec_arg $ jobs_arg $ backend_arg $ cutoff_arg) in
+  let term = Term.(const run $ spec_arg $ Cli.jobs $ Cli.backend $ Cli.cutoff) in
   Cmd.v
-    (Cmd.info "dfs" ~doc:"Stress the deterministic DFS construction")
+    (Cmd.info "dfs" ~exits:Cli.exits
+       ~doc:"Stress the deterministic DFS construction")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -424,7 +370,7 @@ let grand_cmd =
   in
   let term = Term.(const run $ iters_arg) in
   Cmd.v
-    (Cmd.info "grand"
+    (Cmd.info "grand" ~exits:Cli.exits
        ~doc:
          "Randomized separators + DFS across generated and DMP-embedded \
           instances, with closing-edge certification")
@@ -448,6 +394,7 @@ let closable_seeds_arg =
 
 let closable_cmd =
   let run family n seeds =
+    Cli.check_name ~what:"family" ~known:Gen.all_family_names family;
     let probed = ref 0 and bad = ref 0 in
     List.iter
       (fun seed ->
@@ -472,7 +419,7 @@ let closable_cmd =
   in
   let term = Term.(const run $ closable_family_arg $ closable_n_arg $ closable_seeds_arg) in
   Cmd.v
-    (Cmd.info "closable"
+    (Cmd.info "closable" ~exits:Cli.exits
        ~doc:"Report separators whose closing edge fails certification")
     term
 
@@ -480,19 +427,9 @@ let closable_cmd =
 
 let () =
   let info =
-    Cmd.info "debug" ~version:"1.0.0"
+    Cmd.info "debug" ~version:"1.0.0" ~exits:Cli.exits
       ~doc:"Debug and stress harnesses for the reproduction (one former ad-hoc binary per subcommand)"
   in
-  (* Hostile --spec instances (xchords*/xrot/xunion) die in the screened
-     library entries; surface the verdict instead of an exception trace. *)
-  match
-    Cmd.eval
-      (Cmd.group info
-         [ conventions_cmd; separator_cmd; dfs_cmd; grand_cmd; closable_cmd ])
-  with
-  | code -> exit code
-  | exception Screen.Rejected_input { entry; verdict; spec } ->
-    Printf.eprintf "screen rejected at %s: %s\n  replay: %s\n" entry
-      (Screen.verdict_to_string verdict)
-      spec;
-    exit 3
+  Cli.eval
+    (Cmd.group info
+       [ conventions_cmd; separator_cmd; dfs_cmd; grand_cmd; closable_cmd ])

@@ -5,9 +5,10 @@
           [--families F[,F..]] [--backend NAME[,NAME..]] [--max-failures N]
           [--artifact-dir DIR] [--replay SPEC] [--list] [--self-check] [-v]
 
-   Exit codes: 0 all oracles passed, 1 some oracle failed (crash artifacts
-   written), 2 usage error.  Every failure prints one replay line; the
-   same line is embedded in the JSON artifact CI uploads. *)
+   Exit codes (the contract of Cli): 0 all oracles passed, 1 some oracle
+   failed (crash artifacts written), 2 usage error or unknown name.  Every
+   failure prints one replay line; the same line is embedded in the JSON
+   artifact CI uploads. *)
 
 open Repro_testkit
 
@@ -61,9 +62,7 @@ let parse_args () =
   let int_arg name v =
     match int_of_string_opt v with
     | Some i -> i
-    | None ->
-      Printf.eprintf "fuzz: %s expects an integer, got %s\n" name v;
-      exit 2
+    | None -> Cli.fail "fuzz: %s expects an integer, got %s" name v
   in
   let rec go = function
     | [] -> ()
@@ -118,38 +117,25 @@ let parse_args () =
   go args;
   o
 
-let resolve_oracles names =
-  match names with [] -> None | ns -> Some (List.map Oracle.find ns)
+let resolve_oracles = function
+  | [] -> None
+  | ns ->
+    List.iter (Cli.check_name ~what:"oracle" ~known:(Oracle.names ())) ns;
+    Some (List.map Oracle.find ns)
 
 (* Narrow the `backend' oracle to the requested separator backends (after
    validating them against the registry). *)
 let apply_backends = function
   | [] -> ()
   | bs ->
-    Repro_baseline.Backends.ensure ();
-    let known = Repro_core.Backend.names () in
-    List.iter
-      (fun b ->
-        if not (List.mem b known) then begin
-          Printf.eprintf "fuzz: unknown backend %s (known: %s)\n" b
-            (String.concat ", " known);
-          exit 2
-        end)
-      bs;
+    List.iter (fun b -> ignore (Cli.resolve_backend b)) bs;
     Oracle.restrict_backends bs
 
 let resolve_families = function
   | [] -> None
   | fs ->
     let known = Instance.families @ Instance.hostile_families in
-    List.iter
-      (fun f ->
-        if not (List.mem f known) then begin
-          Printf.eprintf "fuzz: unknown family %s (known: %s)\n" f
-            (String.concat ", " known);
-          exit 2
-        end)
-      fs;
+    List.iter (Cli.check_name ~what:"family" ~known) fs;
     Some fs
 
 (* Hostile families are only defined for the screen oracle (spanning trees
@@ -160,20 +146,16 @@ let restrict_for_hostile ~requested_oracles ~families oracles =
   match families with
   | Some fs when List.exists Instance.is_hostile fs ->
     let non_screen = List.filter (( <> ) "screen") requested_oracles in
-    if non_screen <> [] then begin
-      Printf.eprintf
+    if non_screen <> [] then
+      Cli.fail
         "fuzz: oracle %s is not defined on hostile families (only `screen' \
-         is)\n"
+         is)"
         (String.concat "," non_screen);
-      exit 2
-    end;
     (match List.filter (fun f -> not (Instance.is_hostile f)) fs with
     | [] -> ()
     | clean ->
-      Printf.eprintf
-        "fuzz: cannot mix hostile and clean families in one run (%s)\n"
-        (String.concat "," clean);
-      exit 2);
+      Cli.fail "fuzz: cannot mix hostile and clean families in one run (%s)"
+        (String.concat "," clean));
     List.filter (fun (o : Oracle.t) -> o.Oracle.name = "screen") oracles
   | _ -> oracles
 
@@ -183,10 +165,7 @@ let write_artifacts dir ~seed failures =
   List.iteri
     (fun i f ->
       let path = Filename.concat dir (Printf.sprintf "crash-%d.json" i) in
-      let oc = open_out path in
-      output_string oc (Runner.artifact_json ~seed f);
-      output_char oc '\n';
-      close_out oc;
+      Cli.write_text_file path (Runner.artifact_json ~seed f);
       Printf.printf "artifact: %s\n" path)
     failures
 
@@ -203,10 +182,7 @@ let print_failure (f : Runner.failure) =
 
 let replay opts spec_string =
   let spec =
-    try Instance.of_string spec_string
-    with Failure msg ->
-      prerr_endline ("fuzz: " ^ msg);
-      exit 2
+    try Instance.of_string spec_string with Failure msg -> Cli.fail "%s" msg
   in
   let oracles =
     match resolve_oracles opts.oracles with

@@ -14,26 +14,6 @@ open Repro_congest
 open Repro_core
 open Repro_baseline
 
-(* ------------------------------------------------------------------ *)
-(* Shared arguments                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let family_arg =
-  let doc =
-    "Graph family (grid, tgrid, stacked, thinned, cycle, fan, rtree, path, \
-     star, wheel; hostile testkit families xchords1/xchords4/xchords16, \
-     xrot, xunion build corrupted embeddings the screen layer rejects)."
-  in
-  Arg.(value & opt string "tgrid" & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
-
-let n_arg =
-  let doc = "Approximate number of vertices." in
-  Arg.(value & opt int 400 & info [ "n" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "Generator seed." in
-  Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-
 let tree_arg =
   let doc = "Spanning tree kind: bfs, dfs or random." in
   Arg.(value & opt string "bfs" & info [ "tree"; "t" ] ~docv:"KIND" ~doc)
@@ -42,47 +22,7 @@ let spanning_of_string seed = function
   | "bfs" -> Spanning.Bfs
   | "dfs" -> Spanning.Dfs
   | "random" -> Spanning.Random seed
-  | other -> invalid_arg ("unknown tree kind: " ^ other)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for part-parallel batches.  Defaults to \
-     Domain.recommended_domain_count (), i.e. one per hardware thread; the \
-     flat graph store is shared read-only across domains.  Output is \
-     bit-identical for every value; 1 runs fully sequentially."
-  in
-  Arg.(
-    value
-    & opt int (Repro_util.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let backend_arg =
-  let doc =
-    "Separator backend: $(b,congest) (the distributed six-phase algorithm), \
-     $(b,lt-level) (centralized BFS level), $(b,hn-cycle) (centralized \
-     simple-cycle heuristic), $(b,random-sep) (randomized weight sampler \
-     with deterministic fallback), or any client-registered name."
-  in
-  Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let cutoff_arg =
-  let doc =
-    "Centralized fast path: recursion parts with at most $(docv) vertices are \
-     dispatched to the first registered centralized backend (lt-level) \
-     instead of $(b,--backend).  0 disables the fast path."
-  in
-  Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
-
-let resolve_backend name =
-  Backends.ensure ();
-  match Backend.lookup_opt name with
-  | Some b -> b
-  | None ->
-    Printf.eprintf "unknown backend %s (registered: %s)\n" name
-      (String.concat ", " (Backend.names ()));
-    exit 2
-
-let cutoff_of n = if n <= 0 then None else Some n
+  | other -> Cli.fail "unknown tree kind %s (known: bfs, dfs, random)" other
 
 let edges_arg =
   let doc =
@@ -92,74 +32,13 @@ let edges_arg =
   in
   Arg.(value & opt (some string) None & info [ "edges" ] ~docv:"FILE" ~doc)
 
-(* ------------------------------------------------------------------ *)
-(* Tracing (the [--trace*] family, shared by sep/dfs/bdd)               *)
-(* ------------------------------------------------------------------ *)
-
-let trace_arg =
-  let doc = "Print the span-tree summary of the run (structured tracing)." in
-  Arg.(value & flag & info [ "trace" ] ~doc)
-
-let trace_chrome_arg =
-  let doc =
-    "Write the run's trace as Chrome-trace (Perfetto) JSON to $(docv).  The \
-     time axis is virtual (charged + executed rounds), so traces are \
-     deterministic and diffable."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-chrome" ] ~docv:"FILE" ~doc)
-
-let trace_metrics_arg =
-  let doc = "Write the run's aggregated per-span metrics JSON to $(docv)." in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-metrics" ] ~docv:"FILE" ~doc)
-
-(* A tracer is allocated only when some trace output was requested, so the
-   default path stays the zero-cost [None] pipeline end to end. *)
-let tracer_of_flags ~trace ~chrome ~metrics =
-  if trace || chrome <> None || metrics <> None then
-    Some (Repro_trace.Trace.create ())
-  else None
-
-let write_text_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
-
-let emit_trace ~trace ~chrome ~metrics tracer =
-  match tracer with
-  | None -> ()
-  | Some tr ->
-    if trace then Format.printf "@.%a@." Repro_trace.Trace.pp tr;
-    Option.iter
-      (fun path ->
-        write_text_file path (Repro_trace.Trace.to_chrome_string tr);
-        Printf.printf "chrome trace       : %s\n" path)
-      chrome;
-    Option.iter
-      (fun path ->
-        write_text_file path (Repro_trace.Trace.to_metrics_string tr);
-        Printf.printf "metrics json       : %s\n" path)
-      metrics
-
 (* An edge list is untrusted input: every defect (missing file, malformed
    line, bad id, self-loop, no edges) exits 2 with one [file:line: reason]
    line on stderr before any graph is built.  Ids are dense and 0-based, so
    an id of at least 2m names a vertex no edge touches; rejecting it also
    keeps a two-line file from allocating a graph of 10^11 vertices. *)
 let load_edge_list path =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline msg;
-        exit 2)
-      fmt
-  in
+  let fail = Cli.fail in
   let ic = try open_in path with Sys_error e -> fail "%s" e in
   let edges = ref [] and lineno = ref 0 in
   (try
@@ -194,53 +73,33 @@ let load_edge_list path =
   let max_v = List.fold_left (fun a (_, u, v) -> max a (max u v)) 0 !edges in
   Graph.of_edges ~n:(max_v + 1) (List.map (fun (_, u, v) -> (u, v)) !edges)
 
-let instance_of ~family ~n ~seed ~edges =
-  match edges with
-  | None ->
-    let emb =
-      if Repro_testkit.Instance.is_hostile family then
-        (* Hostile testkit families (xchords*/xrot/xunion) build corrupted
-           embeddings on purpose — the screen layer is what rejects them. *)
-        Repro_testkit.Instance.hostile_embedded
-          { family; n; seed; spanning = Spanning.Bfs }
-      else Gen.by_family ~seed family ~n
-    in
-    let g = Embedded.graph emb in
-    (emb, g, Algo.diameter g)
-  | Some path ->
-    let g = load_edge_list path in
-    (match Planarity.embed g with
-    | None ->
-      prerr_endline "input graph is not planar";
-      exit 2
-    | Some rot ->
-      let emb = Embedded.make ~name:(Filename.basename path) g rot in
-      (emb, g, Algo.diameter g))
-
-(* Screen rejections exit 3 with the verdict and a replay spec on stderr —
-   the hostile-input contract: a typed front-door error, never a deep-phase
-   crash. *)
-let or_screen_reject f =
-  try f ()
-  with Screen.Rejected_input { entry; verdict; spec } ->
-    Printf.eprintf "screen rejected at %s: %s\n  replay: %s\n" entry
-      (Screen.verdict_to_string verdict)
-      spec;
-    exit 3
-
-let print_instance emb g d =
+(* Generate (or load) the instance and print its header. *)
+let load inst edges =
+  let emb =
+    match edges with
+    | None -> Cli.embedding inst
+    | Some path -> (
+      let g = load_edge_list path in
+      match Planarity.embed g with
+      | None -> Cli.fail "input graph is not planar"
+      | Some rot -> Embedded.make ~name:(Filename.basename path) g rot)
+  in
+  let g = Embedded.graph emb in
+  let d = Algo.diameter g in
   Printf.printf "instance : %s\n" (Embedded.name emb);
   Printf.printf "n        : %d\nm        : %d\nD        : %d\n" (Graph.n g)
-    (Graph.m g) d
+    (Graph.m g) d;
+  (emb, g, d)
+
+let instance = Cli.instance ()
 
 (* ------------------------------------------------------------------ *)
 (* gen                                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let gen_cmd =
-  let run family n seed edges =
-    let emb, g, d = instance_of ~family ~n ~seed ~edges in
-    print_instance emb g d;
+  let run inst edges =
+    let emb, g, _ = load inst edges in
     Printf.printf "planar embedding valid : %b\n" (Embedded.is_valid emb);
     Printf.printf "screen verdict         : %s\n"
       (Screen.verdict_to_string (Screen.check emb));
@@ -252,8 +111,10 @@ let gen_cmd =
     | None -> Printf.printf "straight-line drawing  : (no coordinates)\n");
     Printf.printf "outer-face vertex      : %d\n" (Embedded.outer emb)
   in
-  let term = Term.(const run $ family_arg $ n_arg $ seed_arg $ edges_arg) in
-  Cmd.v (Cmd.info "gen" ~doc:"Generate or load a planar instance and validate it") term
+  Cmd.v
+    (Cmd.info "gen" ~exits:Cli.exits
+       ~doc:"Generate or load a planar instance and validate it")
+    Term.(const run $ instance $ edges_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sep                                                                  *)
@@ -272,29 +133,19 @@ let svg_arg =
   Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc)
 
 let sep_cmd =
-  let run family n seed edges tree backend shrink verbose svg trace chrome
-      metrics =
-    let emb, g, d = instance_of ~family ~n ~seed ~edges in
-    print_instance emb g d;
-    let b = resolve_backend backend in
-    let tracer = tracer_of_flags ~trace ~chrome ~metrics in
+  let run inst edges tree b shrink verbose svg tracing =
+    let spanning = spanning_of_string inst.Cli.seed tree in
+    let emb, g, d = load inst edges in
+    let tracer = Cli.tracer tracing in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     (* Screen before Config.of_embedded: a corrupted rotation must die
        with a verdict, not crash the spanning-tree build. *)
     Screen.require ~rounds ~entry:"sep" emb;
-    let cfg = Config.of_embedded ~spanning:(spanning_of_string seed tree) emb in
+    let cfg = Config.of_embedded ~spanning emb in
     let r = b.Backend.find ~rounds cfg in
     let verdict = Check.check_separator cfg r.Separator.separator in
-    (* The tree-path shape is part of the contract only for the distributed
-       algorithm; centralized backends are judged on balance alone. *)
-    let ok =
-      match b.Backend.kind with
-      | Backend.Distributed -> verdict.Check.valid
-      | Backend.Centralized ->
-        verdict.Check.size > 0
-        && verdict.Check.max_component <= verdict.Check.limit
-    in
+    let ok = Backend.accepts b verdict in
     Printf.printf "\nbackend            : %s (%s)\n" b.Backend.name
       b.Backend.description;
     Printf.printf "separator phase    : %s (%d candidate(s))\n" r.Separator.phase
@@ -319,18 +170,15 @@ let sep_cmd =
         ?closing:r.Separator.endpoints emb ~path;
       Printf.printf "svg written       : %s\n" path
     | None -> ());
-    emit_trace ~trace ~chrome ~metrics tracer;
-    exit (if ok then 0 else 1)
-  in
-  let term =
-    Term.(
-      const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ tree_arg
-      $ backend_arg $ shrink_arg $ verbose_arg $ svg_arg $ trace_arg
-      $ trace_chrome_arg $ trace_metrics_arg)
+    Cli.emit_trace tracing tracer;
+    Cli.finish ok
   in
   Cmd.v
-    (Cmd.info "sep" ~doc:"Compute and verify a deterministic cycle separator")
-    term
+    (Cmd.info "sep" ~exits:Cli.exits
+       ~doc:"Compute and verify a deterministic cycle separator")
+    Term.(
+      const run $ instance $ edges_arg $ tree_arg $ Cli.backend $ shrink_arg
+      $ verbose_arg $ svg_arg $ Cli.tracing)
 
 (* ------------------------------------------------------------------ *)
 (* dfs                                                                  *)
@@ -345,19 +193,18 @@ let compare_arg =
   Arg.(value & flag & info [ "compare-awerbuch" ] ~doc)
 
 let dfs_cmd =
-  let run family n seed edges root jobs backend cutoff compare_awerbuch trace
-      chrome metrics =
-    let emb, g, d = instance_of ~family ~n ~seed ~edges in
-    print_instance emb g d;
-    let b = resolve_backend backend in
-    let root = match root with Some r -> r | None -> Embedded.outer emb in
-    let tracer = tracer_of_flags ~trace ~chrome ~metrics in
+  let run inst edges root jobs b cutoff compare_awerbuch tracing =
+    let emb, g, d = load inst edges in
+    let root = Option.value root ~default:(Embedded.outer emb) in
+    if root < 0 || root >= Graph.n g then
+      Cli.fail "root %d out of range (the instance has %d vertices)" root
+        (Graph.n g);
+    let tracer = Cli.tracer tracing in
     let rounds = Rounds.create ?trace:tracer ~n:(Graph.n g) ~d () in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     let r =
       Repro_util.Pool.with_pool ~jobs (fun pool ->
-          Dfs.run ~rounds ~pool ~backend:b
-            ?small_part_cutoff:(cutoff_of cutoff) emb ~root)
+          Dfs.run ~rounds ~pool ~backend:b ?small_part_cutoff:cutoff emb ~root)
     in
     let ok = Dfs.verify emb ~root r in
     Printf.printf "\nDFS root           : %d\n" root;
@@ -372,18 +219,15 @@ let dfs_cmd =
       Printf.printf "awerbuch valid     : %b\n"
         (Algo.is_dfs_tree g ~root ~parent:aw.Awerbuch.parent)
     end;
-    emit_trace ~trace ~chrome ~metrics tracer;
-    exit (if ok then 0 else 1)
-  in
-  let term =
-    Term.(
-      const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ root_arg
-      $ jobs_arg $ backend_arg $ cutoff_arg $ compare_arg $ trace_arg
-      $ trace_chrome_arg $ trace_metrics_arg)
+    Cli.emit_trace tracing tracer;
+    Cli.finish ok
   in
   Cmd.v
-    (Cmd.info "dfs" ~doc:"Compute a DFS tree with the deterministic Õ(D) algorithm")
-    term
+    (Cmd.info "dfs" ~exits:Cli.exits
+       ~doc:"Compute a DFS tree with the deterministic Õ(D) algorithm")
+    Term.(
+      const run $ instance $ edges_arg $ root_arg $ Cli.jobs $ Cli.backend
+      $ Cli.cutoff $ compare_arg $ Cli.tracing)
 
 (* ------------------------------------------------------------------ *)
 (* bdd                                                                  *)
@@ -402,19 +246,18 @@ let by_size_arg =
   Arg.(value & flag & info [ "by-size" ] ~doc)
 
 let bdd_cmd =
-  let run family n seed edges target piece by_size jobs backend cutoff trace
-      chrome metrics =
-    let emb, g, d = instance_of ~family ~n ~seed ~edges in
-    print_instance emb g d;
-    let b = resolve_backend backend in
-    let cutoff = cutoff_of cutoff in
-    let tracer = tracer_of_flags ~trace ~chrome ~metrics in
+  let run inst edges target piece by_size jobs b cutoff tracing =
+    if by_size && piece < 1 then Cli.fail "--piece must be >= 1, got %d" piece;
+    if (not by_size) && target < 1 then
+      Cli.fail "--target must be >= 1, got %d" target;
+    let emb, g, d = load inst edges in
+    let tracer = Cli.tracer tracing in
     let rounds =
       Option.map
         (fun tr -> Rounds.create ~trace:tr ~n:(Graph.n g) ~d ())
         tracer
     in
-    or_screen_reject @@ fun () ->
+    Cli.or_screen_reject @@ fun () ->
     let t, ok =
       Repro_util.Pool.with_pool ~jobs (fun pool ->
           if by_size then begin
@@ -443,29 +286,25 @@ let bdd_cmd =
     (match rounds with
     | Some r -> Printf.printf "charged rounds    : %.0f\n" (Rounds.total r)
     | None -> ());
-    emit_trace ~trace ~chrome ~metrics tracer;
-    exit (if ok then 0 else 1)
-  in
-  let term =
-    Term.(
-      const run $ family_arg $ n_arg $ seed_arg $ edges_arg $ target_arg
-      $ piece_arg $ by_size_arg $ jobs_arg $ backend_arg $ cutoff_arg
-      $ trace_arg $ trace_chrome_arg $ trace_metrics_arg)
+    Cli.emit_trace tracing tracer;
+    Cli.finish ok
   in
   Cmd.v
-    (Cmd.info "bdd"
+    (Cmd.info "bdd" ~exits:Cli.exits
        ~doc:
          "Recursive separator decomposition: bounded-diameter pieces (default) \
           or bounded-size pieces (--by-size)")
-    term
+    Term.(
+      const run $ instance $ edges_arg $ target_arg $ piece_arg $ by_size_arg
+      $ Cli.jobs $ Cli.backend $ Cli.cutoff $ Cli.tracing)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let info =
-    Cmd.info "repro" ~version:"1.0.0"
+    Cmd.info "repro" ~version:"1.0.0" ~exits:Cli.exits
       ~doc:
         "Deterministic distributed DFS via cycle separators in planar graphs \
          (PODC 2025 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ gen_cmd; sep_cmd; dfs_cmd; bdd_cmd ]))
+  Cli.eval (Cmd.group info [ gen_cmd; sep_cmd; dfs_cmd; bdd_cmd ])

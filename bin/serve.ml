@@ -10,7 +10,6 @@ open Cmdliner
 open Repro_graph
 open Repro_embedding
 open Repro_core
-open Repro_baseline
 open Repro_serve
 module Trace = Repro_trace.Trace
 
@@ -20,52 +19,6 @@ let socket_arg =
     value
     & opt string "/tmp/repro-serve.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let family_arg =
-  let doc =
-    "Graph family (grid, tgrid, stacked, thinned, cycle, fan, rtree, path, \
-     star, wheel; hostile testkit families are rejected by the screen at \
-     startup with exit 3)."
-  in
-  Arg.(
-    value
-    & opt string Workload.canonical_family
-    & info [ "family"; "f" ] ~docv:"FAMILY" ~doc)
-
-let n_arg =
-  let doc = "Approximate number of vertices." in
-  Arg.(value & opt int Workload.canonical_n & info [ "n" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "Generator seed." in
-  Arg.(
-    value & opt int Workload.canonical_seed
-    & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-
-let backend_arg =
-  let doc =
-    "Separator backend serving the separator/decompose/dfs queries \
-     ($(b,congest), $(b,lt-level), $(b,hn-cycle), $(b,random-sep), or any \
-     client-registered name)."
-  in
-  Arg.(value & opt string "congest" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let cutoff_arg =
-  let doc =
-    "Centralized fast path: recursion parts with at most $(docv) vertices \
-     dispatch to the first registered centralized backend.  0 disables."
-  in
-  Arg.(value & opt int 0 & info [ "cutoff" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for part-parallel batches; responses are bit-identical \
-     for every value."
-  in
-  Arg.(
-    value
-    & opt int (Repro_util.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let cache_arg =
   let doc = "Result-cache capacity (entries; LRU eviction)." in
@@ -81,61 +34,17 @@ let max_requests_arg =
   Arg.(
     value & opt (some int) None & info [ "max-requests" ] ~docv:"K" ~doc)
 
-let metrics_arg =
-  let doc =
-    "Write the daemon's aggregated per-span trace metrics JSON to $(docv) \
-     on exit (enables tracing; per-request serve.* spans included)."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-metrics" ] ~docv:"FILE" ~doc)
-
-let resolve_backend name =
-  Backends.ensure ();
-  match Backend.lookup_opt name with
-  | Some b -> b
-  | None ->
-    Printf.eprintf "unknown backend %s (registered: %s)\n" name
-      (String.concat ", " (Backend.names ()));
-    exit 2
-
-let instance_of ~family ~n ~seed =
-  let emb =
-    if Repro_testkit.Instance.is_hostile family then
-      Repro_testkit.Instance.hostile_embedded
-        { family; n; seed; spanning = Repro_tree.Spanning.Bfs }
-    else Gen.by_family ~seed family ~n
-  in
-  (emb, Embedded.graph emb)
-
-let or_screen_reject f =
-  try f ()
-  with Screen.Rejected_input { entry; verdict; spec } ->
-    Printf.eprintf "screen rejected at %s: %s\n  replay: %s\n" entry
-      (Screen.verdict_to_string verdict)
-      spec;
-    exit 3
-
-let write_text_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc
-
-let main socket family n seed backend_name cutoff jobs cache metrics
-    max_requests =
+let main socket inst backend cutoff jobs cache metrics max_requests =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let backend = resolve_backend backend_name in
-  let emb, g = instance_of ~family ~n ~seed in
+  let emb = Cli.embedding inst in
+  let g = Embedded.graph emb in
   let tracer =
     if metrics <> None then Some (Trace.create ~root:"serve" ()) else None
   in
-  or_screen_reject @@ fun () ->
+  Cli.or_screen_reject @@ fun () ->
   Repro_util.Pool.with_pool ~jobs @@ fun pool ->
   let engine =
-    Engine.create ?tracer ~backend
-      ?small_part_cutoff:(if cutoff <= 0 then None else Some cutoff)
+    Engine.create ?tracer ~backend ?small_part_cutoff:cutoff
       ~cache_capacity:cache ~pool emb
   in
   Printf.printf "instance : %s\nn        : %d\nm        : %d\nbackend  : %s\n"
@@ -150,17 +59,22 @@ let main socket family n seed backend_name cutoff jobs cache metrics
   Option.iter
     (fun path ->
       Option.iter
-        (fun tr -> write_text_file path (Trace.to_metrics_string tr))
+        (fun tr -> Cli.write_text_file path (Trace.to_metrics_string tr))
         tracer;
       Printf.printf "metrics json : %s\n" path)
     metrics
 
 let cmd =
   let doc = "serve DFS/separator/decomposition queries over a socket" in
-  let info = Cmd.info "repro-serve" ~doc in
+  let info = Cmd.info "repro-serve" ~doc ~exits:Cli.exits in
+  let instance =
+    Workload.(
+      Cli.instance ~family:canonical_family ~n:canonical_n ~seed:canonical_seed
+        ())
+  in
   Cmd.v info
     Term.(
-      const main $ socket_arg $ family_arg $ n_arg $ seed_arg $ backend_arg
-      $ cutoff_arg $ jobs_arg $ cache_arg $ metrics_arg $ max_requests_arg)
+      const main $ socket_arg $ instance $ Cli.backend $ Cli.cutoff $ Cli.jobs
+      $ cache_arg $ Cli.trace_metrics $ max_requests_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

@@ -46,6 +46,13 @@ let lookup name =
       (Printf.sprintf "unknown separator backend %s (known: %s)" name
          (String.concat ", " (names ())))
 
+(* The tree-path shape is part of the contract only for the distributed
+   algorithm; centralized backends are judged on balance alone. *)
+let accepts b (v : Check.verdict) =
+  match b.kind with
+  | Distributed -> v.Check.valid
+  | Centralized -> v.Check.size > 0 && v.Check.max_component <= v.Check.limit
+
 let centralized_default () =
   List.find_opt (fun b -> b.kind = Centralized) !registry
 

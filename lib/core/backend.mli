@@ -70,6 +70,14 @@ val default : unit -> t
 (** The behavior-preserving default: ["congest"], the six-phase algorithm
     of Theorem 1 ([find = Separator.find], [trim = Separator.shrink]). *)
 
+val accepts : t -> Check.verdict -> bool
+(** Whether a separator this backend produced meets its contract: a
+    [Distributed] backend must pass {!Check.check_separator} in full
+    (balanced and tree-path shaped); a [Centralized] one promises no
+    tree-path shape and is judged on balance alone (nonempty, largest
+    remaining component within the limit).  The CLI's [valid] line, the
+    debug stress driver and the daemon's ["valid"] field all use it. *)
+
 val centralized_default : unit -> t option
 (** First registered [Centralized] backend (the small-part fast path used
     when a cutoff is given without an explicit backend), if any centralized

@@ -238,7 +238,7 @@ let sep_entry t part =
             size = v.Check.size;
             max_component = v.Check.max_component;
             limit = v.Check.limit;
-            valid = v.Check.valid;
+            valid = Backend.accepts t.backend v;
             phase = r.Separator.phase;
             shash = hash_ints global;
           })
@@ -249,51 +249,29 @@ let sep_entry t part =
 (* Protocol                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let stats_json t =
-  Json.Obj
-    [
-      ("ok", Json.Bool true);
-      ("op", Json.String "stats");
-      ("n", Json.Int (Graph.n t.g));
-      ("m", Json.Int (Graph.m t.g));
-      ("d", Json.Int t.d);
-      ("backend", Json.String t.backend.Backend.name);
-      ( "requests",
-        Json.Obj
-          [
-            ("dfs", Json.Int t.q_dfs);
-            ("separator", Json.Int t.q_sep);
-            ("decompose", Json.Int t.q_dec);
-            ("stats", Json.Int t.q_stats);
-            ("errors", Json.Int t.q_errors);
-          ] );
-      ("cache", Cache.stats_json t.cache);
-      ("charged_rounds", Json.Float t.charged);
-      ("response_hash", Json.String (hex_of_hash t.response_hash));
-    ]
+let stats_fields t =
+  [
+    ("ok", Json.Bool true);
+    ("op", Json.String (Workload.op_name Stats));
+    ("n", Json.Int (Graph.n t.g));
+    ("m", Json.Int (Graph.m t.g));
+    ("d", Json.Int t.d);
+    ("backend", Json.String t.backend.Backend.name);
+    ( "requests",
+      Json.Obj
+        [
+          ("dfs", Json.Int t.q_dfs);
+          ("separator", Json.Int t.q_sep);
+          ("decompose", Json.Int t.q_dec);
+          ("stats", Json.Int t.q_stats);
+          ("errors", Json.Int t.q_errors);
+        ] );
+    ("cache", Cache.stats_json t.cache);
+    ("charged_rounds", Json.Float t.charged);
+    ("response_hash", Json.String (hex_of_hash t.response_hash));
+  ]
 
-let int_field ~default name req =
-  match Json.member name req with
-  | None -> default
-  | Some (Json.Int i) -> i
-  | Some _ -> raise (Bad_request (name ^ " must be an integer"))
-
-let part_field req =
-  match Json.member "part" req with
-  | None | Some (Json.String "all") -> Workload.All
-  | Some (Json.String s)
-    when String.length s > 6 && String.sub s 0 6 = "piece:" -> (
-    match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
-    | Some i when i >= 0 -> Workload.Piece i
-    | _ -> raise (Bad_request ("bad part spec: " ^ s)))
-  | Some (Json.List l) ->
-    Workload.Vertices
-      (List.map
-         (function
-           | Json.Int v -> v
-           | _ -> raise (Bad_request "part list must hold integers"))
-         l)
-  | Some _ -> raise (Bad_request "bad part field")
+let stats_json t = Json.Obj (stats_fields t)
 
 let note_response t h =
   t.response_hash <- (t.response_hash + h) land hash_mask
@@ -301,71 +279,57 @@ let note_response t h =
 (* The sum-mod-2^62 aggregate commutes, so the stats document cannot see
    the interleaving — only the multiset of answered requests. *)
 
-let op_of req =
-  match Json.member "op" req with
-  | Some (Json.String op) -> op
-  | Some _ -> raise (Bad_request "op must be a string")
-  | None -> raise (Bad_request "missing op")
-
-let dispatch t req =
-  let op = op_of req in
-  match op with
-  | "dfs" ->
-    let root = int_field ~default:(Embedded.outer t.emb) "root" req in
+(* [Workload.of_json] has already judged everything the request carries;
+   what is left here needs the graph: the root's range, the part's
+   vertices and connectivity (in [part_config]). *)
+let dispatch t (req : Workload.request) =
+  match req with
+  | Dfs { root } ->
     if root < 0 || root >= Graph.n t.g then
       raise (Bad_request (Printf.sprintf "root %d out of range" root));
     let entry, _hit = dfs_entry t root in
     let e = match entry with Dfs_entry e -> e | _ -> assert false in
     t.q_dfs <- t.q_dfs + 1;
     note_response t e.hash;
-    ( op,
-      [
-        ("root", Json.Int root);
-        ("n", Json.Int (Graph.n t.g));
-        ("phases", Json.Int e.phases);
-        ("depth", Json.Int e.depth);
-        ("hash", Json.String (hex_of_hash e.hash));
-      ] )
-  | "separator" ->
-    let part = part_field req in
+    [
+      ("root", Json.Int root);
+      ("n", Json.Int (Graph.n t.g));
+      ("phases", Json.Int e.phases);
+      ("depth", Json.Int e.depth);
+      ("hash", Json.String (hex_of_hash e.hash));
+    ]
+  | Separator { part } ->
     let spec, entry, _hit = sep_entry t part in
     let e = match entry with Sep_entry e -> e | _ -> assert false in
     t.q_sep <- t.q_sep + 1;
     note_response t e.shash;
-    ( op,
-      [
-        ("part", Json.String spec);
-        ("size", Json.Int e.size);
-        ("max_component", Json.Int e.max_component);
-        ("limit", Json.Int e.limit);
-        ("valid", Json.Bool e.valid);
-        ("phase", Json.String e.phase);
-        ("hash", Json.String (hex_of_hash e.shash));
-      ] )
-  | "decompose" ->
-    let piece =
-      int_field ~default:Workload.default_piece_target "piece" req
-    in
-    if piece < 2 then raise (Bad_request "piece target must be >= 2");
+    [
+      ("part", Json.String spec);
+      ("size", Json.Int e.size);
+      ("max_component", Json.Int e.max_component);
+      ("limit", Json.Int e.limit);
+      ("valid", Json.Bool e.valid);
+      ("phase", Json.String e.phase);
+      ("hash", Json.String (hex_of_hash e.shash));
+    ]
+  | Decompose { piece } ->
     let e, _hit = decomposition t piece in
     t.q_dec <- t.q_dec + 1;
     note_response t e.dhash;
     let dec = e.decomp in
-    ( op,
-      [
-        ("piece", Json.Int piece);
-        ("pieces", Json.Int (List.length dec.Decomposition.pieces));
-        ("levels", Json.Int dec.Decomposition.levels);
-        ("separator_count", Json.Int dec.Decomposition.separator_count);
-        ("hash", Json.String (hex_of_hash e.dhash));
-      ] )
-  | "stats" ->
+    [
+      ("piece", Json.Int piece);
+      ("pieces", Json.Int (List.length dec.Decomposition.pieces));
+      ("levels", Json.Int dec.Decomposition.levels);
+      ("separator_count", Json.Int dec.Decomposition.separator_count);
+      ("hash", Json.String (hex_of_hash e.dhash));
+    ]
+  | Stats ->
     t.q_stats <- t.q_stats + 1;
-    ("stats", [])
-  | "shutdown" ->
+    []
+  | Shutdown ->
     t.shutdown <- true;
-    (op, [])
-  | other -> raise (Bad_request ("unknown op: " ^ other))
+    []
 
 let traced_metrics t req =
   match (Json.member "trace" req, t.tracer) with
@@ -382,58 +346,41 @@ let id_fields req =
   | Some id -> [ ("id", id) ]
   | None -> []
 
+let error_response t id msg =
+  t.q_errors <- t.q_errors + 1;
+  Json.Obj (id @ [ ("ok", Json.Bool false); ("error", Json.String msg) ])
+
 let handle t req =
   let id = id_fields req in
-  try
-    let op = op_of req in
-    let op_name, fields =
-      Trace.within t.tracer ("serve." ^ op) (fun () -> dispatch t req)
-    in
-    let body =
-      if op_name = "stats" then
-        match stats_json t with
-        | Json.Obj fields -> fields
-        | _ -> assert false
-      else
-        (("ok", Json.Bool true) :: ("op", Json.String op_name) :: fields)
-        @ traced_metrics t req
-    in
-    Json.Obj (id @ body)
-  with
-  | Bad_request msg ->
-    t.q_errors <- t.q_errors + 1;
-    Json.Obj (id @ [ ("ok", Json.Bool false); ("error", Json.String msg) ])
-  | Separator.No_separator_found msg ->
-    t.q_errors <- t.q_errors + 1;
-    Json.Obj
-      (id
-      @ [
-          ("ok", Json.Bool false);
-          ("error", Json.String ("no separator found: " ^ msg));
-        ])
-  | e ->
-    (* Backends, the checker and the DFS driver are allowed to raise on
-       inputs the screen can't rule out; the mli promises errors come
-       back as responses, so nothing may escape into the server loop. *)
-    t.q_errors <- t.q_errors + 1;
-    Json.Obj
-      (id
-      @ [
-          ("ok", Json.Bool false);
-          ("error", Json.String ("internal error: " ^ Printexc.to_string e));
-        ])
+  match Workload.of_json ~default_root:(Embedded.outer t.emb) req with
+  | Error msg -> error_response t id msg
+  | Ok r -> (
+    let op = Workload.op_name r in
+    try
+      let fields =
+        Trace.within t.tracer ("serve." ^ op) (fun () -> dispatch t r)
+      in
+      let body =
+        match r with
+        | Stats -> stats_fields t
+        | _ ->
+          (("ok", Json.Bool true) :: ("op", Json.String op) :: fields)
+          @ traced_metrics t req
+      in
+      Json.Obj (id @ body)
+    with
+    | Bad_request msg -> error_response t id msg
+    | Separator.No_separator_found msg ->
+      error_response t id ("no separator found: " ^ msg)
+    | e ->
+      (* Backends, the checker and the DFS driver are allowed to raise on
+         inputs the screen can't rule out; the mli promises errors come
+         back as responses, so nothing may escape into the server loop. *)
+      error_response t id ("internal error: " ^ Printexc.to_string e))
 
 let handle_line t line =
-  let req =
-    try Ok (Json.of_string line) with e -> Error (Printexc.to_string e)
-  in
-  match req with
-  | Ok req -> Json.to_string (handle t req)
-  | Error msg ->
-    t.q_errors <- t.q_errors + 1;
-    Json.to_string
-      (Json.Obj
-         [
-           ("ok", Json.Bool false);
-           ("error", Json.String ("parse error: " ^ msg));
-         ])
+  match Json.of_string line with
+  | req -> Json.to_string (handle t req)
+  | exception e ->
+    let msg = "parse error: " ^ Printexc.to_string e in
+    Json.to_string (error_response t [] msg)

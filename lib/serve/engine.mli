@@ -40,9 +40,11 @@ val create :
     {!Workload.canonical_cache_capacity}. *)
 
 val handle : t -> Json.t -> Json.t
-(** Answer one request.  Unknown ops, malformed fields and out-of-range
-    arguments produce [{"ok":false,"error":…}] responses (counted in the
-    [errors] counter), never exceptions.  A request carrying
+(** Answer one request.  The request is decoded by {!Workload.of_json};
+    unknown ops, malformed fields and out-of-range arguments produce
+    [{"ok":false,"error":…}] responses (counted in the [errors] counter),
+    never exceptions.  A request that fails to decode opens no
+    [serve.*] span, so client-chosen op names never become span names.  A request carrying
     ["trace":true] on a traced engine gets its own [serve.*] span's
     aggregated metrics attached as a ["metrics"] member. *)
 

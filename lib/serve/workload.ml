@@ -7,21 +7,76 @@ type request =
   | Dfs of { root : int }
   | Separator of { part : part }
   | Decompose of { piece : int }
+  | Stats
+  | Shutdown
 
 let default_piece_target = 24
+
+let op_name = function
+  | Dfs _ -> "dfs"
+  | Separator _ -> "separator"
+  | Decompose _ -> "decompose"
+  | Stats -> "stats"
+  | Shutdown -> "shutdown"
 
 let part_to_json = function
   | All -> Json.String "all"
   | Piece i -> Json.String ("piece:" ^ string_of_int i)
   | Vertices vs -> Json.List (List.map (fun v -> Json.Int v) vs)
 
-let to_json = function
-  | Dfs { root } ->
-    Json.Obj [ ("op", Json.String "dfs"); ("root", Json.Int root) ]
-  | Separator { part } ->
-    Json.Obj [ ("op", Json.String "separator"); ("part", part_to_json part) ]
-  | Decompose { piece } ->
-    Json.Obj [ ("op", Json.String "decompose"); ("piece", Json.Int piece) ]
+let to_json r =
+  let args =
+    match r with
+    | Dfs { root } -> [ ("root", Json.Int root) ]
+    | Separator { part } -> [ ("part", part_to_json part) ]
+    | Decompose { piece } -> [ ("piece", Json.Int piece) ]
+    | Stats | Shutdown -> []
+  in
+  Json.Obj (("op", Json.String (op_name r)) :: args)
+
+exception Bad of string
+
+let of_json ~default_root req =
+  let bad msg = raise (Bad msg) in
+  let int_field name ~default =
+    match Json.member name req with
+    | None -> default
+    | Some (Json.Int i) -> i
+    | Some _ -> bad (name ^ " must be an integer")
+  in
+  let part () =
+    match Json.member "part" req with
+    | None | Some (Json.String "all") -> All
+    | Some (Json.String s)
+      when String.length s > 6 && String.sub s 0 6 = "piece:" -> (
+      match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
+      | Some i when i >= 0 -> Piece i
+      | _ -> bad ("bad part spec: " ^ s))
+    | Some (Json.List l) ->
+      Vertices
+        (List.map
+           (function
+             | Json.Int v -> v | _ -> bad "part list must hold integers")
+           l)
+    | Some _ -> bad "bad part field"
+  in
+  match
+    match Json.member "op" req with
+    | Some (Json.String "dfs") ->
+      Dfs { root = int_field "root" ~default:default_root }
+    | Some (Json.String "separator") -> Separator { part = part () }
+    | Some (Json.String "decompose") ->
+      let piece = int_field "piece" ~default:default_piece_target in
+      if piece < 2 then bad "piece target must be >= 2";
+      Decompose { piece }
+    | Some (Json.String "stats") -> Stats
+    | Some (Json.String "shutdown") -> Shutdown
+    | Some (Json.String op) -> bad ("unknown op: " ^ op)
+    | Some _ -> bad "op must be a string"
+    | None -> bad "missing op"
+  with
+  | r -> Ok r
+  | exception Bad msg -> Error msg
 
 (* Root pool: 6 fixed vertices spread across the id range.  Small enough
    that a 120-request mix revisits every root several times (the

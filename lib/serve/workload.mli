@@ -1,4 +1,9 @@
-(** Seed-deterministic request mixes for the serving layer.
+(** The serving layer's request vocabulary and its seed-deterministic
+    request mixes.
+
+    This module owns the wire format both ways: {!to_json} encodes a
+    typed request, {!of_json} decodes one, and every client (loadgen,
+    bench E19, the tests) builds its lines here rather than by hand.
 
     One generator feeds three consumers — [tools/loadgen.exe] (over the
     socket), bench E19 (in-process) and the serve-smoke CI job — so the
@@ -16,10 +21,30 @@ type request =
   | Dfs of { root : int }
   | Separator of { part : part }
   | Decompose of { piece : int }  (** piece-size target *)
+  | Stats  (** the deterministic serving document *)
+  | Shutdown  (** answer, then stop accepting connections *)
+
+val op_name : request -> string
+(** The wire name of the request's op (["dfs"], ["separator"],
+    ["decompose"], ["stats"], ["shutdown"]); also the query-class label
+    loadgen and bench E19 report latencies under. *)
 
 val to_json : request -> Repro_trace.Json.t
 (** The wire form the daemon parses, e.g.
     [{"op":"separator","part":"piece:2"}]. *)
+
+val of_json :
+  default_root:int -> Repro_trace.Json.t -> (request, string) result
+(** Decode one request object; the inverse of {!to_json}.  A [dfs]
+    without ["root"] gets [default_root] (the loaded graph's outer
+    vertex); a [separator] without ["part"] means [All]; a [decompose]
+    without ["piece"] means {!default_piece_target}.  Other members
+    (["id"], ["trace"]) are envelope fields and are ignored here.
+    [Error msg] carries the exact error string the daemon answers with
+    (["missing op"], ["unknown op: frobnicate"], ["root must be an
+    integer"], ["piece target must be >= 2"], ...).  Checks that need
+    the graph — root range, part vertices, connectivity — are the
+    engine's. *)
 
 val mix : seed:int -> n:int -> count:int -> request list
 (** [count] requests over a graph of [n] vertices: 50% DFS (roots drawn

@@ -33,5 +33,6 @@ let () =
          Test_trace.suites;
          Test_screen.suites;
          Test_serve.suites;
+         Test_cli.suites;
          Test_bench.suites;
        ])

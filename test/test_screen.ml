@@ -2,8 +2,9 @@
    reason coverage for each rejection variant, witness minimality under
    the greedy shrinker, jobs=1 vs jobs=N bit-identity of screening
    ledgers/traces, typed rejections at every screened library entry, and
-   the CLI exit-code contract (sep/dfs/bdd exit 3 with the replay spec;
-   malformed --edges files exit 2 with a one-line file:line reason). *)
+   the CLI exit-code contract (sep/dfs/bdd and debug --spec exit 3 with
+   the replay spec; malformed --edges files and bad argv values of all
+   four binaries exit 2 with one stderr line). *)
 
 open Repro_graph
 open Repro_embedding
@@ -213,6 +214,21 @@ let repro_exe = Filename.concat ".." (Filename.concat "bin" "main.exe")
 let cli_raw cmdline = Sys.command (Printf.sprintf "%s %s" repro_exe cmdline)
 let cli cmdline = cli_raw (cmdline ^ " >/dev/null 2>&1")
 
+let bin name = Filename.concat ".." (Filename.concat "bin" name)
+
+(* Exit code and stderr of one spawned binary run. *)
+let spawn exe args =
+  let err = Filename.temp_file "repro" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >/dev/null 2>%s" (bin exe) args (Filename.quote err))
+  in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  (code, msg)
+
+let lines msg = List.length (String.split_on_char '\n' (String.trim msg))
+
 let test_cli_exit_codes () =
   if not (Sys.file_exists repro_exe) then
     Alcotest.skip ()
@@ -224,7 +240,41 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "bdd rejects hostile input with exit 3" 3
       (cli "bdd --family xchords1 -n 64 --seed 2 --by-size --jobs 1");
     Alcotest.(check int) "sep accepts clean input" 0
-      (cli "sep --family grid -n 64 --seed 2")
+      (cli "sep --family grid -n 64 --seed 2");
+    (* Bad argv values exit 2 with one stderr line, before any work. *)
+    let socket = Filename.temp_file "repro-serve" ".sock" in
+    List.iter
+      (fun (exe, args) ->
+        let code, msg = spawn exe args in
+        let what = Printf.sprintf "%s %s" exe args in
+        Alcotest.(check int) (what ^ ": exit 2") 2 code;
+        Alcotest.(check int) (what ^ ": one stderr line, got " ^ msg) 1
+          (lines msg))
+      [
+        ("main.exe", "sep --family nope");
+        ("main.exe", "sep --family path -n 0");
+        ("serve.exe", "--family nope --socket " ^ Filename.quote socket);
+        ("main.exe", "sep -n 64 --tree bogus");
+        ("main.exe", "dfs -n 64 --root 99999 --jobs 1");
+        ("main.exe", "bdd -n 64 --by-size --piece 0 --jobs 1");
+        ("main.exe", "bdd -n 64 --target 0 --jobs 1");
+        ("main.exe", "sep -n 64 --backend nope");
+        ("debug.exe", "separator --spec nope:1:1:bfs");
+        ("debug.exe", "closable --family nope");
+        ("fuzz.exe", "--oracle nope");
+        ("fuzz.exe", "--backend nope");
+        ("fuzz.exe", "--families nope");
+        ("fuzz.exe", "--replay nope");
+      ];
+    Sys.remove socket;
+    (* debug --spec goes through the same screen gate as the CLI. *)
+    List.iter
+      (fun spec ->
+        let code, msg = spawn "debug.exe" ("separator --spec " ^ spec) in
+        Alcotest.(check int) (spec ^ ": exit 3") 3 code;
+        Alcotest.(check bool) (spec ^ ": replay spec on stderr") true
+          (String.ends_with ~suffix:("replay: " ^ spec ^ "\n") msg))
+      [ "xrot:64:2:bfs"; "xunion:64:2:bfs" ]
   end
 
 (* A hostile edge-list file never reaches the library: the CLI exits 2

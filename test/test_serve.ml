@@ -94,26 +94,90 @@ let test_serial_replay_deterministic () =
   Alcotest.(check bool) "responses and stats bit-identical across jobs" true
     (r1 = r2)
 
+(* Every malformed request answered with the exact error line the daemon
+   has always sent; decoding moved into [Workload.of_json], the strings
+   did not change. *)
+let error_cases =
+  [
+    ({|{"op":"dfs","root":100000}|}, {|{"ok":false,"error":"root 100000 out of range"}|});
+    ({|{"op":"dfs","root":-1}|}, {|{"ok":false,"error":"root -1 out of range"}|});
+    ({|{"op":"dfs","root":"x"}|}, {|{"ok":false,"error":"root must be an integer"}|});
+    ({|{"op":"dfs","root":3.5}|}, {|{"ok":false,"error":"root must be an integer"}|});
+    ({|{"op":"frobnicate"}|}, {|{"ok":false,"error":"unknown op: frobnicate"}|});
+    ({|{"id":7,"op":"nope"}|}, {|{"id":7,"ok":false,"error":"unknown op: nope"}|});
+    ({|{"op":5}|}, {|{"ok":false,"error":"op must be a string"}|});
+    ({|{"root":3}|}, {|{"ok":false,"error":"missing op"}|});
+    ({|[1,2]|}, {|{"ok":false,"error":"missing op"}|});
+    ( "{nonsense",
+      {|{"ok":false,"error":"parse error: Failure(\"Json.of_string: expected '\\\"' at 1\")"}|} );
+    ({|{"op":"separator","part":[0,99]}|}, {|{"ok":false,"error":"part is not connected"}|});
+    ({|{"op":"separator","part":[]}|}, {|{"ok":false,"error":"empty part"}|});
+    ({|{"op":"separator","part":[0,100]}|}, {|{"ok":false,"error":"part vertex 100 out of range"}|});
+    ({|{"op":"separator","part":[-3]}|}, {|{"ok":false,"error":"part vertex -3 out of range"}|});
+    ({|{"op":"separator","part":[0,"a"]}|}, {|{"ok":false,"error":"part list must hold integers"}|});
+    ({|{"op":"separator","part":"piece:x"}|}, {|{"ok":false,"error":"bad part spec: piece:x"}|});
+    ({|{"op":"separator","part":"piece:-1"}|}, {|{"ok":false,"error":"bad part spec: piece:-1"}|});
+    ({|{"op":"separator","part":"piece:"}|}, {|{"ok":false,"error":"bad part field"}|});
+    ({|{"op":"separator","part":"bogus"}|}, {|{"ok":false,"error":"bad part field"}|});
+    ({|{"op":"separator","part":7}|}, {|{"ok":false,"error":"bad part field"}|});
+    ({|{"op":"decompose","piece":1}|}, {|{"ok":false,"error":"piece target must be >= 2"}|});
+    ({|{"op":"decompose","piece":"a"}|}, {|{"ok":false,"error":"piece must be an integer"}|});
+  ]
+
 let test_error_responses () =
   Repro_util.Pool.with_pool ~jobs:1 @@ fun pool ->
   let engine = small_engine pool in
-  let is_error line =
-    match Json.member "ok" (Json.of_string (Engine.handle_line engine line)) with
-    | Some (Json.Bool false) -> true
-    | _ -> false
-  in
-  Alcotest.(check bool) "root out of range" true
-    (is_error {|{"op":"dfs","root":100000}|});
-  Alcotest.(check bool) "unknown op rejected" true
-    (is_error {|{"op":"frobnicate"}|});
-  Alcotest.(check bool) "disconnected part rejected" true
-    (is_error {|{"op":"separator","part":[0,99]}|});
-  Alcotest.(check bool) "parse error answered, not raised" true
-    (is_error "{nonsense");
+  List.iter
+    (fun (line, expected) ->
+      Alcotest.(check string) line expected (Engine.handle_line engine line))
+    error_cases;
   let stats = Engine.stats_json engine in
   match Option.bind (Json.member "requests" stats) (Json.member "errors") with
-  | Some (Json.Int e) -> Alcotest.(check int) "errors counted" 4 e
+  | Some (Json.Int e) ->
+    Alcotest.(check int) "errors counted" (List.length error_cases) e
   | _ -> Alcotest.fail "stats missing errors counter"
+
+(* [Workload] owns the wire format both ways: decoding an encoded request
+   gives it back, through the serialized line too. *)
+let test_wire_round_trip () =
+  let requests =
+    Workload.canonical ()
+    @ Workload.
+        [
+          Separator { part = Vertices [ 3; 1; 2 ] };
+          Decompose { piece = 2 };
+          Stats;
+          Shutdown;
+        ]
+  in
+  List.iter
+    (fun r ->
+      let line = req_line r in
+      Alcotest.(check bool) line true
+        (Workload.of_json ~default_root:0 (Workload.to_json r) = Ok r
+        && Workload.of_json ~default_root:0 (Json.of_string line) = Ok r))
+    requests;
+  Alcotest.(check bool) "dfs without a root takes the default root" true
+    (Workload.of_json ~default_root:7 (Json.of_string {|{"op":"dfs"}|})
+    = Ok (Workload.Dfs { root = 7 }))
+
+(* The daemon judges a separator by the backend's own contract, as the
+   CLI does: lt-level's 16-vertex separator of the 20x20 grid is balanced
+   but not a tree path, and both front ends call it valid. *)
+let test_centralized_valid () =
+  Repro_baseline.Backends.ensure ();
+  let backend = Repro_core.Backend.lookup "lt-level" in
+  Repro_util.Pool.with_pool ~jobs:1 @@ fun pool ->
+  let engine =
+    Engine.create ~backend ~pool (Gen.by_family ~seed:1 "grid" ~n:400)
+  in
+  let resp =
+    Engine.handle engine (Workload.to_json (Separator { part = All }))
+  in
+  Alcotest.(check bool) "size 16" true
+    (Json.member "size" resp = Some (Json.Int 16));
+  Alcotest.(check bool) "valid" true
+    (Json.member "valid" resp = Some (Json.Bool true))
 
 let test_request_scoped_metrics () =
   let tracer = Repro_trace.Trace.create ~root:"serve" () in
@@ -212,7 +276,7 @@ let test_concurrent_replay_matches_serial () =
     List.iter (fun r -> write_all a (req_line r ^ "\n")) mix_a;
     List.iter (fun r -> write_all b (req_line r ^ "\n")) mix_b;
     let got_a = read_lines a 10 and got_b = read_lines b 10 in
-    write_all a "{\"op\":\"shutdown\"}\n";
+    write_all a (req_line Workload.Shutdown ^ "\n");
     ignore (read_lines a 1);
     Unix.close a;
     Unix.close b;
@@ -240,6 +304,10 @@ let suites =
         `Quick test_error_responses;
       Alcotest.test_case "engine: request-scoped trace metrics" `Quick
         test_request_scoped_metrics;
+      Alcotest.test_case "wire: of_json inverts to_json" `Quick
+        test_wire_round_trip;
+      Alcotest.test_case "engine: centralized backend valid as on the CLI"
+        `Quick test_centralized_valid;
       Alcotest.test_case "socket: concurrent 2-client replay = serial replay"
         `Quick test_concurrent_replay_matches_serial;
     ]

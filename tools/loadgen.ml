@@ -51,10 +51,7 @@ let read_line_blocking fd buf =
   in
   go ()
 
-let class_of = function
-  | W.Dfs _ -> "dfs"
-  | W.Separator _ -> "separator"
-  | W.Decompose _ -> "decompose"
+let line r = Json.to_string (W.to_json r) ^ "\n"
 
 type conn = {
   fd : Unix.file_descr;
@@ -64,15 +61,14 @@ type conn = {
   mutable sent_at : float;
 }
 
-let send_next c latencies =
+let send_next c =
   match c.queue with
   | [] -> c.inflight <- None
   | r :: rest ->
     c.queue <- rest;
-    c.inflight <- Some (class_of r);
-    ignore latencies;
+    c.inflight <- Some (W.op_name r);
     c.sent_at <- Unix.gettimeofday ();
-    write_all c.fd (Json.to_string (W.to_json r) ^ "\n")
+    write_all c.fd (line r)
 
 let () =
   let socket = ref "/tmp/repro-serve.sock" in
@@ -136,7 +132,7 @@ let () =
   in
   let failed = ref 0 in
   let t0 = Unix.gettimeofday () in
-  Array.iter (fun c -> send_next c latencies) conns;
+  Array.iter send_next conns;
   let chunk = Bytes.create 4096 in
   let active () =
     Array.to_list conns |> List.filter (fun c -> c.inflight <> None)
@@ -166,7 +162,7 @@ let () =
               | _ ->
                 incr failed;
                 Printf.eprintf "request failed: %s\n" line);
-              send_next c latencies))
+              send_next c))
         ready;
       loop ()
   in
@@ -175,10 +171,10 @@ let () =
   (* One stats fetch over connection 0 — the deterministic document the
      CI gate compares. *)
   let c0 = conns.(0) in
-  write_all c0.fd "{\"op\":\"stats\"}\n";
+  write_all c0.fd (line W.Stats);
   let stats = Json.of_string (read_line_blocking c0.fd c0.buf) in
   if !shutdown then begin
-    write_all c0.fd "{\"op\":\"shutdown\"}\n";
+    write_all c0.fd (line W.Shutdown);
     ignore (read_line_blocking c0.fd c0.buf)
   end;
   Array.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
