@@ -133,6 +133,7 @@ let e1 () =
   in
   Table.set_align t 0 Table.Left;
   Table.set_align t 6 Table.Left;
+  let invalid = ref 0 in
   List.iter
     (fun family ->
       List.iter
@@ -149,7 +150,7 @@ let e1 () =
                   let r = Separator.find cfg in
                   let v = Check.check_separator cfg r.Separator.separator in
                   incr runs;
-                  if v.Check.valid then incr valid;
+                  if v.Check.valid then incr valid else incr invalid;
                   worst_ratio :=
                     max !worst_ratio
                       (float_of_int v.Check.max_component
@@ -173,7 +174,9 @@ let e1 () =
             ])
         [ 120; 480; 1920 ])
     Gen.family_names;
-  output t
+  output t;
+  if !invalid > 0 then
+    failwith (Printf.sprintf "e1: %d invalid separators" !invalid)
 
 (* ------------------------------------------------------------------ *)
 (* E2/F1: separator rounds scale with D, not n.                        *)
@@ -436,6 +439,7 @@ let e6 () =
   in
   Table.set_align t 0 Table.Left;
   Table.set_align t 1 Table.Left;
+  let mismatches = ref 0 in
   List.iter
     (fun family ->
       List.iter
@@ -458,10 +462,13 @@ let e6 () =
               Spanning.kind_name spanning;
               Table.fmt_int !checked;
               Table.fmt_int !bad;
-            ])
+            ];
+          mismatches := !mismatches + !bad)
         [ Spanning.Bfs; Spanning.Dfs; Spanning.Random 17 ])
     [ "tgrid"; "stacked"; "thinned" ];
-  output t
+  output t;
+  if !mismatches > 0 then
+    failwith (Printf.sprintf "e6: %d weight mismatches" !mismatches)
 
 (* ------------------------------------------------------------------ *)
 (* E7: executed part-wise aggregation rounds.                          *)
@@ -1780,18 +1787,13 @@ let e19 ~jobs ~short () =
   in
   let replay pool =
     let engine = Engine.create ~pool emb in
-    let latencies = Hashtbl.create 4 in
-    let record cls dt =
-      match Hashtbl.find_opt latencies cls with
-      | Some l -> l := dt :: !l
-      | None -> Hashtbl.add latencies cls (ref [ dt ])
-    in
+    let latencies = W.latencies () in
     let t0 = Unix.gettimeofday () in
     List.iter
       (fun r ->
         let w0 = Unix.gettimeofday () in
         let resp = Engine.handle engine (W.to_json r) in
-        record (W.op_name r) (Unix.gettimeofday () -. w0);
+        W.record_latency latencies r (Unix.gettimeofday () -. w0);
         match Json.member "ok" resp with
         | Some (Json.Bool true) -> ()
         | _ -> failwith ("e19: request failed: " ^ Json.to_string resp))
@@ -1821,28 +1823,18 @@ let e19 ~jobs ~short () =
   Table.set_align t1 0 Table.Left;
   let total = ref 0 in
   List.iter
-    (fun cls ->
-      let samples =
-        match Hashtbl.find_opt latencies cls with
-        | Some l -> Array.of_list !l
-        | None -> [||]
-      in
-      let k = Array.length samples in
-      assert (k > 0);
-      total := !total + k;
-      let mean =
-        if k = 0 then 0.0
-        else Array.fold_left ( +. ) 0.0 samples /. float_of_int k
-      in
+    (fun (l : W.latency_summary) ->
+      assert (l.count > 0);
+      total := !total + l.count;
       Table.add_row t1
         [
-          cls;
-          Table.fmt_int k;
-          Table.fmt_float (1000.0 *. mean);
-          Table.fmt_float (1000.0 *. W.percentile samples 0.5);
-          Table.fmt_float (1000.0 *. W.percentile samples 0.99);
+          l.op;
+          Table.fmt_int l.count;
+          Table.fmt_float (1000.0 *. l.mean);
+          Table.fmt_float (1000.0 *. l.p50);
+          Table.fmt_float (1000.0 *. l.p99);
         ])
-    [ "dfs"; "separator"; "decompose" ];
+    (W.latency_summary latencies);
   output t1;
   pf "(%d requests in %.3fs — %.0f queries/sec in-process; the socket\n"
     !total wall

@@ -1,5 +1,5 @@
-(* The command-line vocabulary the four binaries share (repro, repro-serve,
-   debug, fuzz): the instance, backend, jobs, cutoff and trace terms, the
+(* The command-line vocabulary the three binaries share (repro, repro-serve,
+   fuzz): the instance, backend, jobs, cutoff and trace terms, the
    name checks, and the exit-code contract
 
      0  success
@@ -101,18 +101,6 @@ let embedding { family; n; seed } =
     try Gen.by_family ~seed family ~n
     with Invalid_argument msg ->
       fail "cannot generate family %s at n = %d (%s)" family n msg
-
-(* A printable testkit spec (FAMILY:N:SEED:SPANNING) built and screened:
-   a hostile spec exits 3 here, before any harness touches it. *)
-let screened_spec s =
-  let spec =
-    try Instance.of_string s with Failure msg -> fail "%s" msg
-  in
-  let inst = Instance.build spec in
-  let name = Instance.to_string spec in
-  or_screen_reject (fun () ->
-      Screen.require ~spec:name ~entry:"--spec" inst.Instance.emb);
-  (name, inst.Instance.emb, spec.Instance.spanning)
 
 (* ------------------------------------------------------------------ *)
 (* Backend, jobs, cutoff                                                *)

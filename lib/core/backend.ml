@@ -73,3 +73,18 @@ let congest =
 
 let default () = congest
 let () = register congest
+
+(* Parts at or below the cutoff dispatch to the small-part backend — the
+   fast path that dominates deep recursion levels — everything else to
+   the main one. *)
+let per_part ?backend ?small_part_cutoff ?small_backend () =
+  let backend = Option.value backend ~default:congest in
+  match small_part_cutoff with
+  | None -> fun _ -> backend
+  | Some cutoff ->
+    let small =
+      match small_backend with
+      | Some b -> b
+      | None -> Option.value (centralized_default ()) ~default:backend
+    in
+    fun size -> if size <= cutoff then small else backend

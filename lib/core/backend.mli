@@ -75,10 +75,19 @@ val accepts : t -> Check.verdict -> bool
     [Distributed] backend must pass {!Check.check_separator} in full
     (balanced and tree-path shaped); a [Centralized] one promises no
     tree-path shape and is judged on balance alone (nonempty, largest
-    remaining component within the limit).  The CLI's [valid] line, the
-    debug stress driver and the daemon's ["valid"] field all use it. *)
+    remaining component within the limit).  The CLI's [valid] line and
+    the daemon's ["valid"] field both use it. *)
 
 val centralized_default : unit -> t option
 (** First registered [Centralized] backend (the small-part fast path used
     when a cutoff is given without an explicit backend), if any centralized
     backend has been registered. *)
+
+val per_part :
+  ?backend:t -> ?small_part_cutoff:int -> ?small_backend:t -> unit -> int -> t
+(** The per-part dispatch rule of {!Dfs.run} and {!Decomposition}:
+    [per_part ... () size] is [small_backend] for parts of at most
+    [small_part_cutoff] vertices and [backend] (default {!default})
+    otherwise.  [small_backend] defaults to {!centralized_default},
+    falling back to [backend] when no centralized backend is
+    registered. *)

@@ -61,36 +61,10 @@ let absorb_heaviest rounds locals =
   | None -> ()
   | Some g -> Repro_congest.Rounds.absorb_heaviest g locals
 
-(* Backend selection for one part: parts at or below the cutoff dispatch
-   to the (typically centralized) small-part backend — the fast path that
-   dominates deep recursion levels — everything else to the main one. *)
-let pick_backend ~backend ~small_part_cutoff ~small_backend members =
-  match small_part_cutoff with
-  | Some c when Array.length members <= c -> small_backend
-  | _ -> backend
-
-(* [?small_backend] defaults to the first registered centralized backend
-   (lt-level once [Repro_baseline.Backends.ensure] has run), falling back
-   to the main backend when none is registered. *)
-let resolve_backends ?backend ?small_backend () =
-  let backend =
-    match backend with Some b -> b | None -> Backend.default ()
-  in
-  let small_backend =
-    match small_backend with
-    | Some b -> b
-    | None -> (
-      match Backend.centralized_default () with
-      | Some b -> b
-      | None -> backend)
-  in
-  (backend, small_backend)
-
 (* Level-synchronous driver shared by the size- and diameter-bounded
    variants.  [stop] decides whether a part is already a piece (it runs
    inside the batch, in parallel); [guard] bounds the level count. *)
-let build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff
-    ~small_backend ~stop ~guard emb =
+let build_frontier ?rounds ?pool ~trim ~pick ~stop ~guard emb =
   let g = Embedded.graph emb in
   let n = Graph.n g in
   let removed = Array.make n false in
@@ -121,10 +95,7 @@ let build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff
           if stop members then `Piece members
           else
             `Split
-              (split_part ?rounds ~trim
-                 ~backend:
-                   (pick_backend ~backend ~small_part_cutoff ~small_backend
-                      members)
+              (split_part ?rounds ~trim ~backend:(pick (Array.length members))
                  emb members))
         batch
     in
@@ -159,8 +130,8 @@ let build ?rounds ?pool ?(piece_target = 20) ?(trim = true) ?backend
     ?small_part_cutoff ?small_backend emb =
   if piece_target < 1 then invalid_arg "Decomposition.build: piece_target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.build" emb;
-  let backend, small_backend = resolve_backends ?backend ?small_backend () in
-  build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff ~small_backend
+  let pick = Backend.per_part ?backend ?small_part_cutoff ?small_backend () in
+  build_frontier ?rounds ?pool ~trim ~pick
     ~stop:(fun members -> Array.length members <= piece_target)
     ~guard:(fun _ -> ())
     emb
@@ -293,8 +264,8 @@ let bounded_diameter ?rounds ?pool ?(trim = true) ?backend ?small_part_cutoff
     invalid_arg "Decomposition.bounded_diameter: target >= 1";
   Screen.require ?rounds ~entry:"Decomposition.bounded_diameter" emb;
   let g = Embedded.graph emb in
-  let backend, small_backend = resolve_backends ?backend ?small_backend () in
-  build_frontier ?rounds ?pool ~trim ~backend ~small_part_cutoff ~small_backend
+  let pick = Backend.per_part ?backend ?small_part_cutoff ?small_backend () in
+  build_frontier ?rounds ?pool ~trim ~pick
     ~stop:(fun members -> not (piece_diameter_exceeds g members diameter_target))
     ~guard:(fun level ->
       if level > 4 * Graph.n g then

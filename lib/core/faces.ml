@@ -13,19 +13,14 @@
    - [interior_reference]: exact, by traversing the two faces of T + e in
      the induced rotation system and discarding the one holding the root
      corner.  O(n log n) per edge and allocation-heavy; the ground truth the
-     tests, the fuzz oracles and the debug/bench tools check the local rule
-     against, never called by the algorithm itself. *)
+     tests, the fuzz oracles and the bench check the local rule against,
+     never called by the algorithm itself. *)
 
 open Repro_graph
 open Repro_embedding
 open Repro_tree
 
 type edge_case = Unrelated | Anc_left | Anc_right
-
-let case_name = function
-  | Unrelated -> "unrelated"
-  | Anc_left -> "anc-left"
-  | Anc_right -> "anc-right"
 
 (* Normalized rotation position: the parent edge (or the virtual root edge
    position) is at 0 and positions grow clockwise. *)

@@ -157,31 +157,6 @@ let decomposition t piece =
   | Decomp_entry e, hit -> (e, hit)
   | _ -> assert false
 
-(* Connectivity probe for explicit vertex-list parts: [Config.of_part]
-   requires a connected member set, so reject disconnected lists at the
-   front door instead of corrupting the pipeline. *)
-let connected_in t members =
-  let n = Graph.n t.g in
-  let inset = Array.make n false in
-  Array.iter (fun v -> inset.(v) <- true) members;
-  let seen = Array.make n false in
-  let stack = ref [ members.(0) ] in
-  seen.(members.(0)) <- true;
-  let count = ref 0 in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      incr count;
-      Graph.iter_neighbors t.g v (fun w ->
-          if inset.(w) && not seen.(w) then begin
-            seen.(w) <- true;
-            stack := w :: !stack
-          end)
-  done;
-  !count = Array.length members
-
 let part_config t part =
   match part with
   | Workload.All -> ("all", t.cfg0)
@@ -211,8 +186,11 @@ let part_config t part =
           raise (Bad_request (Printf.sprintf "part vertex %d out of range" v)))
       vs;
     let members = Array.of_list (List.sort_uniq compare vs) in
-    if not (connected_in t members) then
-      raise (Bad_request "part is not connected");
+    (* [Config.of_part] requires a connected member set, so disconnected
+       lists are rejected here instead of corrupting the pipeline. *)
+    (match Algo.restricted_components t.g ~members ~skip:(fun _ -> false) with
+    | [ _ ] -> ()
+    | _ -> raise (Bad_request "part is not connected"));
     let root = members.(0) in
     ( Printf.sprintf "v:%s" (hex_of_hash (hash_ints (Array.to_list members))),
       Config.of_part ~members ~root t.emb )
@@ -381,6 +359,7 @@ let handle t req =
 let handle_line t line =
   match Json.of_string line with
   | req -> Json.to_string (handle t req)
-  | exception e ->
-    let msg = "parse error: " ^ Printexc.to_string e in
-    Json.to_string (error_response t [] msg)
+  | exception _ ->
+    (* One fixed reply: the parser's own message is not part of the
+       protocol. *)
+    Json.to_string (error_response t [] "parse error: not a JSON value")

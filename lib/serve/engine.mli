@@ -50,7 +50,8 @@ val handle : t -> Json.t -> Json.t
 
 val handle_line : t -> string -> string
 (** Parse one request line, [handle] it, print the response (no trailing
-    newline).  Parse failures become error responses. *)
+    newline).  A line that is not JSON gets the fixed error response
+    ["parse error: not a JSON value"]. *)
 
 val stats_json : t -> Json.t
 (** The deterministic serving document: instance shape, per-class request

@@ -107,6 +107,7 @@ let canonical_cache_capacity = 64
 let canonical () =
   mix ~seed:canonical_mix_seed ~n:canonical_n ~count:canonical_requests
 
+(* Nearest-rank percentile of an unsorted sample, [p] in [0, 1]. *)
 let percentile samples p =
   let k = Array.length samples in
   if k = 0 then 0.0
@@ -119,3 +120,43 @@ let percentile samples p =
     in
     sorted.(rank)
   end
+
+type latencies = (string, float list ref) Hashtbl.t
+
+let latencies () : latencies = Hashtbl.create 4
+
+let record_latency t r seconds =
+  let op = op_name r in
+  match Hashtbl.find_opt t op with
+  | Some l -> l := seconds :: !l
+  | None -> Hashtbl.add t op (ref [ seconds ])
+
+type latency_summary = {
+  op : string;
+  count : int;
+  mean : float;
+  p50 : float;
+  p99 : float;
+}
+
+let latency_summary t =
+  List.map
+    (fun op ->
+      let samples =
+        match Hashtbl.find_opt t op with
+        | Some l -> Array.of_list !l
+        | None -> [||]
+      in
+      let count = Array.length samples in
+      let mean =
+        if count = 0 then 0.0
+        else Array.fold_left ( +. ) 0.0 samples /. float_of_int count
+      in
+      {
+        op;
+        count;
+        mean;
+        p50 = percentile samples 0.5;
+        p99 = percentile samples 0.99;
+      })
+    [ "dfs"; "separator"; "decompose" ]

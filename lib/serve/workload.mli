@@ -73,6 +73,25 @@ val canonical_mix_seed : int
 val canonical_cache_capacity : int
 val canonical : unit -> request list
 
-val percentile : float array -> float -> float
-(** Nearest-rank percentile of an (unsorted) sample, [p] in [0, 1];
-    [0.0] on an empty sample.  Shared by loadgen and bench E19. *)
+(** Per-class request latencies, the one recorder loadgen and bench E19
+    report from. *)
+
+type latencies
+
+val latencies : unit -> latencies
+
+val record_latency : latencies -> request -> float -> unit
+(** Add one sample (seconds) under the request's {!op_name}. *)
+
+type latency_summary = {
+  op : string;
+  count : int;
+  mean : float;
+  p50 : float;
+  p99 : float;
+}
+(** Times in seconds; [p50]/[p99] are nearest-rank percentiles.  A class
+    with no samples reads [count = 0] and [0.0] elsewhere. *)
+
+val latency_summary : latencies -> latency_summary list
+(** One row per query class, in the order dfs, separator, decompose. *)

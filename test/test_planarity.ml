@@ -120,37 +120,54 @@ let prop_generated_planar_always_embedded =
       | Some rot -> Rotation.is_planar_embedding g rot
       | None -> false)
 
+(* The algorithmic pipeline runs on embeddings produced without any
+   coordinates: generate from any family, shuffle labels, re-embed with
+   DMP, then run under a BFS, DFS or random spanning tree. *)
+let dmp_draw =
+  let families = List.length Gen.all_family_names in
+  QCheck.(
+    quad (int_bound (families - 1)) (int_range 4 200) (int_bound 100000)
+      (int_range 0 2))
+
+let dmp_instance (which, n, seed, spi) =
+  let family = List.nth Gen.all_family_names which in
+  let emb0 = Gen.by_family ~seed family ~n in
+  let g = shuffle_labels ~seed:(seed + 1) (Embedded.graph emb0) in
+  let spanning =
+    match spi with
+    | 0 -> Repro_tree.Spanning.Bfs
+    | 1 -> Repro_tree.Spanning.Dfs
+    | _ -> Repro_tree.Spanning.Random seed
+  in
+  Option.map
+    (fun rot -> (Embedded.make ~name:"dmp" g rot, spanning))
+    (Planarity.embed g)
+
+(* Valid, and any reported closing edge is certified insertable. *)
 let prop_separator_works_on_dmp_embeddings =
-  (* The algorithmic pipeline runs on embeddings produced without any
-     coordinates: generate, shuffle labels, re-embed with DMP, separate. *)
-  QCheck.Test.make ~name:"separator valid on DMP-embedded graphs" ~count:25
-    QCheck.(pair (int_range 10 120) (int_bound 10000))
-    (fun (n, seed) ->
-      let emb0 = Gen.stacked_triangulation ~seed ~n () in
-      let g = shuffle_labels ~seed:(seed + 7) (Embedded.graph emb0) in
-      match Planarity.embed g with
+  QCheck.Test.make ~name:"separator valid on DMP-embedded graphs" ~count:60
+    dmp_draw (fun draw ->
+      match dmp_instance draw with
       | None -> false
-      | Some rot ->
-        let emb = Embedded.make ~name:"dmp" g rot in
-        let cfg = Repro_core.Config.of_embedded emb in
-        let r = Repro_core.Separator.find cfg in
-        (Repro_core.Check.check_separator cfg r.Repro_core.Separator.separator)
-          .Repro_core.Check.valid)
+      | Some (emb, spanning) ->
+        let open Repro_core in
+        let cfg = Config.of_embedded ~spanning emb in
+        let r = Separator.find cfg in
+        (Check.check_separator cfg r.Separator.separator).Check.valid
+        &&
+        match r.Separator.endpoints with
+        | None -> true
+        | Some endpoints -> Check.cycle_closable cfg ~endpoints)
 
 let prop_dfs_works_on_dmp_embeddings =
-  QCheck.Test.make ~name:"DFS valid on DMP-embedded graphs" ~count:15
-    QCheck.(pair (int_range 10 100) (int_bound 10000))
-    (fun (n, seed) ->
-      let emb0 =
-        Gen.thin ~seed ~keep:0.7 (Gen.stacked_triangulation ~seed ~n ())
-      in
-      let g = shuffle_labels ~seed:(seed + 3) (Embedded.graph emb0) in
-      match Planarity.embed g with
+  QCheck.Test.make ~name:"DFS valid on DMP-embedded graphs" ~count:30 dmp_draw
+    (fun ((_, _, seed, _) as draw) ->
+      match dmp_instance draw with
       | None -> false
-      | Some rot ->
-        let emb = Embedded.make ~name:"dmp" g rot in
-        let r = Repro_core.Dfs.run emb ~root:0 in
-        Repro_core.Dfs.verify emb ~root:0 r)
+      | Some (emb, spanning) ->
+        let root = seed mod Graph.n (Embedded.graph emb) in
+        let r = Repro_core.Dfs.run ~spanning emb ~root in
+        Repro_core.Dfs.verify emb ~root r)
 
 let suites =
   Repro_testkit.Suite.make __MODULE__

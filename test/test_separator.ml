@@ -156,6 +156,27 @@ let prop_certified_closing_edges =
       | None -> true
       | Some endpoints -> Check.cycle_closable cfg ~endpoints)
 
+(* Two grid draws whose closing edges once failed certification, pinned
+   under every spanning kind. *)
+let test_pinned_closable_seeds () =
+  List.iter
+    (fun seed ->
+      let emb = Gen.by_family ~seed "grid" ~n:50 in
+      List.iter
+        (fun spanning ->
+          let cfg, r = find_on emb spanning in
+          assert_valid (Printf.sprintf "grid50 seed %d" seed) (cfg, r);
+          match r.Separator.endpoints with
+          | None -> ()
+          | Some endpoints ->
+            Alcotest.(check bool)
+              (Printf.sprintf "grid50 seed %d [%s] closing edge certified" seed
+                 (Spanning.kind_name spanning))
+              true
+              (Check.cycle_closable cfg ~endpoints))
+        [ Spanning.Bfs; Spanning.Dfs; Spanning.Random seed ])
+    [ 434796; 483504 ]
+
 let prop_shrink_preserves_balance =
   QCheck.Test.make ~name:"shrink keeps balance, never grows" ~count:50
     QCheck.(pair (int_range 6 150) (int_bound 10000))
@@ -306,6 +327,8 @@ let suites =
           test_shrink_cycle_recovers_third;
         Alcotest.test_case "shrink singleton" `Quick test_shrink_singleton_stable;
         Alcotest.test_case "pinned corpus results" `Quick test_pinned_corpus;
+        Alcotest.test_case "pinned closable seeds" `Quick
+          test_pinned_closable_seeds;
         qtest prop_certified_closing_edges;
         qtest prop_shrink_preserves_balance;
         qtest prop_separator_always_valid;

@@ -57,7 +57,7 @@ type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;
   mutable queue : W.request list;
-  mutable inflight : string option; (* class of the outstanding request *)
+  mutable inflight : W.request option; (* the outstanding request *)
   mutable sent_at : float;
 }
 
@@ -66,7 +66,7 @@ let send_next c =
   | [] -> c.inflight <- None
   | r :: rest ->
     c.queue <- rest;
-    c.inflight <- Some (W.op_name r);
+    c.inflight <- Some r;
     c.sent_at <- Unix.gettimeofday ();
     write_all c.fd (line r)
 
@@ -117,19 +117,7 @@ let () =
       let c = conns.(idx mod c_count) in
       c.queue <- c.queue @ [ r ])
     mix;
-  (* latency samples per class, in seconds *)
-  let latencies = Hashtbl.create 4 in
-  let record cls dt =
-    let l =
-      match Hashtbl.find_opt latencies cls with
-      | Some l -> l
-      | None ->
-        let l = ref [] in
-        Hashtbl.add latencies cls l;
-        l
-    in
-    l := dt :: !l
-  in
+  let latencies = W.latencies () in
   let failed = ref 0 in
   let t0 = Unix.gettimeofday () in
   Array.iter send_next conns;
@@ -154,9 +142,9 @@ let () =
             | None -> ()
             | Some line ->
               let dt = Unix.gettimeofday () -. c.sent_at in
-              (match c.inflight with
-              | Some cls -> record cls dt
-              | None -> ());
+              Option.iter
+                (fun r -> W.record_latency latencies r dt)
+                c.inflight;
               (match Json.member "ok" (Json.of_string line) with
               | Some (Json.Bool true) -> ()
               | _ ->
@@ -189,23 +177,12 @@ let () =
       (float_of_int total /. wall);
   Printf.printf "%-12s %8s %9s %9s %9s\n" "class" "count" "mean(ms)"
     "p50(ms)" "p99(ms)";
-  let classes = [ "dfs"; "separator"; "decompose" ] in
+  let summary = W.latency_summary latencies in
   List.iter
-    (fun cls ->
-      let samples =
-        match Hashtbl.find_opt latencies cls with
-        | Some l -> Array.of_list !l
-        | None -> [||]
-      in
-      let k = Array.length samples in
-      let mean =
-        if k = 0 then 0.0
-        else Array.fold_left ( +. ) 0.0 samples /. float_of_int k
-      in
-      Printf.printf "%-12s %8d %9.2f %9.2f %9.2f\n" cls k (1000.0 *. mean)
-        (1000.0 *. W.percentile samples 0.5)
-        (1000.0 *. W.percentile samples 0.99))
-    classes;
+    (fun (l : W.latency_summary) ->
+      Printf.printf "%-12s %8d %9.2f %9.2f %9.2f\n" l.op l.count
+        (1000.0 *. l.mean) (1000.0 *. l.p50) (1000.0 *. l.p99))
+    summary;
   let cache_hits =
     match Option.bind (Json.member "cache" stats) (Json.member "hits") with
     | Some (Json.Int h) -> h
@@ -214,17 +191,12 @@ let () =
   Printf.printf "cache hits  : %d\n" cache_hits;
   (* The acceptance assertions: every class answered, repeats hit. *)
   List.iter
-    (fun cls ->
-      let answered =
-        match Hashtbl.find_opt latencies cls with
-        | Some l -> List.length !l
-        | None -> 0
-      in
-      if answered = 0 then begin
-        Printf.eprintf "no %s responses in the mix\n" cls;
+    (fun (l : W.latency_summary) ->
+      if l.count = 0 then begin
+        Printf.eprintf "no %s responses in the mix\n" l.op;
         incr failed
       end)
-    classes;
+    summary;
   if cache_hits <= 0 then begin
     Printf.eprintf "cache recorded no hits on the repeated-root mix\n";
     incr failed
